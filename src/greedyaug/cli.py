@@ -36,12 +36,7 @@ from .audit import (
     min_alpha_for,
     weak_submodularity_ratio,
 )
-from .families import (
-    critical_ratio_closed_form,
-    limit_ratio,
-    make_critical_function,
-    oracle_from_descriptor,
-)
+from .families import FAMILIES, describe_flow, family_entry, limit_ratio, oracle_from_descriptor
 from .independence import rank_quotient
 from . import flows, verify
 
@@ -67,26 +62,21 @@ def _load_instance(args) -> "flows.FlowInstance | None":
     try:
         with open(args.instance) as handle:
             return flows.FlowInstance.from_json(handle.read())
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"--instance {args.instance}: {exc}")
+
+
+def _descriptor(args) -> dict:
+    return {"family": args.family, **_parse_params(args.params)}
 
 
 def _described(args):
     inst = _load_instance(args)
     if inst is not None:
-        bundle = oracle_from_descriptor({"family": "flow", "instance": inst.to_json_dict()})
-        return bundle
+        return describe_flow(inst)
     if not args.family:
         raise SystemExit("need --family TAG or --instance FILE")
-    descriptor = {"family": args.family, **_parse_params(args.params)}
-    try:
-        return oracle_from_descriptor(descriptor)
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"bad descriptor for family {args.family!r}: {exc}")
-
-
-def _tie(args):
-    return args.tie
+    return oracle_from_descriptor(_descriptor(args))
 
 
 def _write_text(args, text: str) -> None:
@@ -109,7 +99,7 @@ def cmd_trace(args) -> int:
     bundle = _described(args)
     f = bundle.oracle
     k = f.n if args.k is None else int(args.k)
-    trace = greedy_adaptive(f, k, tie=_tie(args))
+    trace = greedy_adaptive(f, k, tie=args.tie)
     _write_text(args, _csv_text(TRACE_HEADER, trace.rows(f.ground)))
     return 0
 
@@ -119,9 +109,12 @@ def cmd_audit(args) -> int:
     f = bundle.oracle
     params = _parse_params(args.params)
     gamma = parse_rational(params.get("gamma", 1))
-    alphas = [parse_rational(a) for a in params.get("alphas", [1, 2])]
+    alphas = params.get("alphas", [1, 2])
+    if not isinstance(alphas, list):
+        raise SystemExit(f"--params alphas must be a JSON list, got {alphas!r}")
+    alphas = [parse_rational(a) for a in alphas]
     scope = args.scope
-    tie = _tie(args)
+    tie = args.tie
     out: dict = {"oracle": f.name, "scope": scope, "tie": tie}
 
     def guarded(label, fn):
@@ -173,47 +166,21 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def _ratio_rows_critical(params, ks, tie, max_measure):
-    gamma = parse_rational(params.get("gamma", 1))
-    alpha = parse_rational(params.get("alpha", 1))
+def _ratio_rows(entry, params, ks, tie, max_measure):
+    gamma, alpha = entry.shape(params)
     limit = limit_ratio(gamma, alpha)
     rows = []
     previous_gap = None
     for k in ks:
-        closed = critical_ratio_closed_form(gamma, alpha, k)
+        closed = entry.ratio(gamma, alpha, k)
         gap = abs(float(closed) - limit)
         converging = "" if previous_gap is None else ("yes" if gap < previous_gap else "no")
         previous_gap = gap
         measured = ""
         note = ""
-        if 2 * k <= max_measure:
-            f = make_critical_function(gamma, alpha, k)
+        if entry.size(alpha, k) <= max_measure:
+            f = entry.build({"gamma": gamma, "alpha": alpha, "k": k}).oracle
             ratio, _ = approximation_ratio(f, tie=tie)
-            measured = format_rational(ratio)
-        else:
-            note = "closed-form-only"
-        rows.append(
-            (str(k), measured, format_rational(closed), f"{float(closed):.15g}",
-             f"{limit:.15g}", converging, note)
-        )
-    return rows
-
-
-def _ratio_rows_staircase(params, ks, tie, max_measure):
-    alpha = int(params.get("alpha", 1))
-    limit = limit_ratio(1, alpha)
-    rows = []
-    previous_gap = None
-    for k in ks:
-        closed = flows.lower_bound_ratio_closed_form(alpha, k)
-        gap = abs(float(closed) - limit)
-        converging = "" if previous_gap is None else ("yes" if gap < previous_gap else "no")
-        previous_gap = gap
-        measured = ""
-        note = ""
-        if 2 * alpha * k <= max_measure:
-            inst = flows.make_lower_bound_instance(alpha, k)
-            ratio, _ = approximation_ratio(flows.objective_oracle(inst), tie=tie)
             measured = format_rational(ratio)
         else:
             note = "closed-form-only"
@@ -226,16 +193,13 @@ def _ratio_rows_staircase(params, ks, tie, max_measure):
 
 def cmd_ratio_table(args) -> int:
     params = _parse_params(args.params)
-    ks = [int(part) for part in str(args.k or "").replace(",", " ").split()] if args.k else []
-    tie = _tie(args)
-    if args.family == "critical":
-        max_measure = args.max_measure if args.max_measure is not None else 12
-        rows = _ratio_rows_critical(params, ks, tie, max_measure)
-    elif args.family in ("gk", "staircase"):
-        max_measure = args.max_measure if args.max_measure is not None else 6
-        rows = _ratio_rows_staircase(params, ks, tie, max_measure)
-    else:
-        raise SystemExit(f"ratio-table supports families 'critical' and 'gk', not {args.family!r}")
+    ks = [int(part) for part in str(args.k or "").replace(",", " ").split()]
+    entry = FAMILIES.get(args.family)
+    if entry is None or entry.ratio is None:
+        tabulable = ", ".join(repr(tag) for tag, e in FAMILIES.items() if e.ratio is not None)
+        raise SystemExit(f"ratio-table supports families {tabulable}, not {args.family!r}")
+    max_measure = entry.measure_limit if args.max_measure is None else args.max_measure
+    rows = _ratio_rows(entry, params, ks, args.tie, max_measure)
     _write_text(args, _csv_text(RATIO_HEADER, rows))
     if args.gnuplot and args.out:
         script = (
@@ -267,29 +231,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen_instance(args) -> int:
-    params = _parse_params(args.params)
-    family = args.family
-    try:
-        if family in ("gk", "staircase"):
-            epsilon = parse_rational(params["epsilon"]) if "epsilon" in params else None
-            inst = flows.make_lower_bound_instance(int(params["alpha"]), int(params["k"]), epsilon)
-        elif family == "two_sink":
-            inst = flows.make_two_sink_instance(int(params.get("alpha", 2)))
-        elif family == "zero_ratio":
-            inst = flows.make_zero_ratio_instance(int(params.get("alpha", 2)))
-        else:
-            inst = None
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"bad parameters for family {family!r}: {exc}")
-    if inst is None:
-        descriptor = {"family": family, **params}
-        try:
-            oracle_from_descriptor(descriptor)  # validate before writing
-        except (KeyError, ValueError) as exc:
-            raise SystemExit(f"bad descriptor for family {family!r}: {exc}")
+    descriptor = _descriptor(args)
+    entry = family_entry(descriptor["family"])
+    if entry.flow is not None:
+        _write_text(args, entry.flow(descriptor).to_json())
+    else:
+        entry.build(descriptor)  # validate before writing
         _write_text(args, json.dumps(descriptor, sort_keys=True, indent=2) + "\n")
-        return 0
-    _write_text(args, inst.to_json())
     return 0
 
 
@@ -338,7 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (KeyError, TypeError, ValueError) as exc:
+        # Bad descriptors, parameters and --k values all surface here.
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise SystemExit(f"greedyaug {args.command}: {reason}") from exc
 
 
 if __name__ == "__main__":

@@ -185,12 +185,6 @@ class GreedyTrace:
     def __len__(self):
         return len(self.picks)
 
-    def value_at(self, k: int) -> Fraction:
-        return self.values[k]
-
-    def final_set(self) -> int:
-        return self.chain[-1]
-
     def prefix(self, steps: int) -> "GreedyTrace":
         if steps > len(self.picks):
             raise InvalidCardinality(f"trace has only {len(self.picks)} steps")
@@ -292,24 +286,6 @@ def _better(value, mask, best_value, best_mask):
     return value == best_value and indices_of(mask) < indices_of(best_mask)
 
 
-def brute_force_optimum(f: SetFunctionOracle, k: int, max_elements: int = 24) -> OptimumRecord:
-    """Enumerate all subsets of cardinality <= k and return the exact best."""
-    n = f.n
-    if not 0 <= k <= n:
-        raise InvalidCardinality(f"k={k} outside 0..{n}")
-    if n > max_elements:
-        raise GroundSetTooLarge(f"n={n} exceeds enumeration guard {max_elements}")
-    best_value = None
-    best_mask = 0
-    for size in range(k + 1):
-        for combo in combinations(range(n), size):
-            mask = mask_of(combo)
-            v = f.value(mask)
-            if _better(v, mask, best_value, best_mask):
-                best_value, best_mask = v, mask
-    return OptimumRecord(k=k, best_set=best_mask, best_value=best_value)
-
-
 def optimum_profile(f: SetFunctionOracle, max_elements: int = 24) -> list[OptimumRecord]:
     """Exact optima for every cardinality bound 0..n in one sweep."""
     n = f.n
@@ -331,6 +307,16 @@ def optimum_profile(f: SetFunctionOracle, max_elements: int = 24) -> list[Optimu
     return profile
 
 
+def brute_force_optimum(f: SetFunctionOracle, k: int, max_elements: int = 24) -> OptimumRecord:
+    """Exact best subset of cardinality <= k, read off ``optimum_profile``.
+
+    The sweep evaluates all 2**n subsets whatever k is.
+    """
+    if not 0 <= k <= f.n:
+        raise InvalidCardinality(f"k={k} outside 0..{f.n}")
+    return optimum_profile(f, max_elements)[k]
+
+
 def optimum_value(
     f: SetFunctionOracle,
     k: int,
@@ -342,19 +328,21 @@ def optimum_value(
     ``upper_bound(mask)`` must be a provable upper bound on f(mask); subsets
     whose bound cannot beat the incumbent are skipped without evaluation.
     Use when single evaluations are expensive (e.g. LP-backed objectives).
+    Without a bound this is ``brute_force_optimum(f, k).best_value``.
     """
+    if upper_bound is None:
+        return brute_force_optimum(f, k, max_elements).best_value
     n = f.n
     if not 0 <= k <= n:
         raise InvalidCardinality(f"k={k} outside 0..{n}")
     if n > max_elements:
         raise GroundSetTooLarge(f"n={n} exceeds enumeration guard {max_elements}")
     candidates = [mask_of(c) for size in range(k + 1) for c in combinations(range(n), size)]
-    if upper_bound is not None:
-        bounds = {mask: upper_bound(mask) for mask in candidates}
-        candidates.sort(key=lambda m: (bounds[m], m), reverse=True)
+    bounds = {mask: upper_bound(mask) for mask in candidates}
+    candidates.sort(key=lambda m: (bounds[m], m), reverse=True)
     best = None
     for mask in candidates:
-        if upper_bound is not None and best is not None and bounds[mask] <= best:
+        if best is not None and bounds[mask] <= best:
             continue
         v = f.value(mask)
         if best is None or v > best:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import (
     GroundSet,
@@ -38,7 +39,8 @@ from .core import (
     iter_submasks,
     parse_rational,
 )
-from .independence import IndependenceSystem, weighted_rank_oracle
+from .independence import IndependenceSystem, uniform_matroid, weighted_rank_oracle
+from . import flows
 
 
 @dataclass(frozen=True)
@@ -270,52 +272,95 @@ class DescribedInstance:
     """An oracle built from a JSON descriptor, with optional backing objects."""
 
     oracle: SetFunctionOracle
-    descriptor: dict
     system: IndependenceSystem | None = None
-    flow: object | None = None
+    flow: flows.FlowInstance | None = None
+
+
+def describe_flow(inst: flows.FlowInstance) -> DescribedInstance:
+    """The sink-selection objective of a flow instance, with the instance attached."""
+    return DescribedInstance(flows.objective_oracle(inst), flow=inst)
+
+
+@dataclass(frozen=True)
+class Family:
+    """What a family tag means: a descriptor builder and, for flow families,
+    the FlowInstance builder.  Tabulable families add their ratio table:
+    (gamma, alpha) read from parameters, the closed-form ratio and ground-set
+    size at k, and the largest size measured exactly by default.
+    """
+
+    build: Callable[[dict], DescribedInstance]
+    flow: Callable[[dict], flows.FlowInstance] | None = None
+    shape: Callable[[dict], tuple] | None = None
+    ratio: Callable[..., Fraction] | None = None
+    size: Callable[..., int] | None = None
+    measure_limit: int | None = None
+
+
+def _flow_family(flow, **table) -> Family:
+    return Family(lambda d: describe_flow(flow(d)), flow=flow, **table)
+
+
+def _system_described(system: IndependenceSystem, oracle=None) -> DescribedInstance:
+    oracle = weighted_rank_oracle(system) if oracle is None else oracle
+    return DescribedInstance(oracle, system=system)
+
+
+# Builders call constructors by module-global name at call time, so a
+# constructor replaced on its module (e.g. by a tracing wrapper) is the one run.
+FAMILIES: dict[str, Family] = {
+    "critical": Family(
+        lambda d: DescribedInstance(make_critical_function(
+            parse_rational(d["gamma"]), parse_rational(d["alpha"]), int(d["k"]),
+            method=d.get("method", "closed"),
+        )),
+        shape=lambda p: (parse_rational(p.get("gamma", 1)), parse_rational(p.get("alpha", 1))),
+        ratio=critical_ratio_closed_form,
+        size=lambda alpha, k: 2 * k,
+        measure_limit=12,
+    ),
+    "ratio_separator": Family(
+        lambda d: DescribedInstance(make_ratio_separator(parse_rational(d["gamma"])))
+    ),
+    "rank_separator": Family(lambda d: _system_described(*make_rank_separator(
+        parse_rational(d["q"]), parse_rational(d["alpha"]), int(d["m"]), int(d["n"])
+    ))),
+    "square": Family(lambda d: DescribedInstance(make_square_cardinality(int(d["n"])))),
+    "modular": Family(
+        lambda d: DescribedInstance(make_modular([parse_rational(w) for w in d["weights"]]))
+    ),
+    "uniform_matroid": Family(lambda d: _system_described(uniform_matroid(
+        int(d["n"]), int(d["rank"]),
+        [parse_rational(w) for w in d["weights"]] if "weights" in d else None,
+    ))),
+    "gk": _flow_family(
+        lambda d: flows.make_lower_bound_instance(
+            int(d["alpha"]), int(d["k"]), parse_rational(d["epsilon"]) if "epsilon" in d else None
+        ),
+        shape=lambda p: (1, int(p.get("alpha", 1))),
+        ratio=lambda gamma, alpha, k: flows.lower_bound_ratio_closed_form(alpha, k),
+        size=lambda alpha, k: 2 * alpha * k,
+        measure_limit=6,
+    ),
+    "two_sink": _flow_family(lambda d: flows.make_two_sink_instance(int(d.get("alpha", 2)))),
+    "zero_ratio": _flow_family(lambda d: flows.make_zero_ratio_instance(int(d.get("alpha", 2)))),
+    "flow": _flow_family(lambda d: flows.FlowInstance.from_json_dict(d["instance"])),
+}
+FAMILIES["staircase"] = FAMILIES["gk"]
+
+
+def family_entry(tag) -> Family:
+    """The registry entry of a family tag."""
+    entry = FAMILIES.get(tag)
+    if entry is None:
+        raise ParameterError(f"unknown family tag {tag!r}")
+    return entry
 
 
 def oracle_from_descriptor(descriptor: dict) -> DescribedInstance:
     """Build an oracle from a family descriptor (the CLI's instance format).
 
-    Tags: critical, ratio_separator, rank_separator, square, modular,
-    uniform_matroid, two_sink, zero_ratio, gk, flow.
+    ``descriptor["family"]`` is a tag of ``FAMILIES``; the other keys are the
+    family's parameters.
     """
-    from . import flows
-    from .independence import uniform_matroid
-
-    tag = descriptor.get("family")
-    d = descriptor
-    if tag == "critical":
-        oracle = make_critical_function(
-            parse_rational(d["gamma"]), parse_rational(d["alpha"]), int(d["k"]),
-            method=d.get("method", "closed"),
-        )
-        return DescribedInstance(oracle, d)
-    if tag == "ratio_separator":
-        return DescribedInstance(make_ratio_separator(parse_rational(d["gamma"])), d)
-    if tag == "rank_separator":
-        system, oracle = make_rank_separator(
-            parse_rational(d["q"]), parse_rational(d["alpha"]), int(d["m"]), int(d["n"])
-        )
-        return DescribedInstance(oracle, d, system=system)
-    if tag == "square":
-        return DescribedInstance(make_square_cardinality(int(d["n"])), d)
-    if tag == "modular":
-        return DescribedInstance(make_modular([parse_rational(w) for w in d["weights"]]), d)
-    if tag == "uniform_matroid":
-        weights = [parse_rational(w) for w in d["weights"]] if "weights" in d else None
-        system = uniform_matroid(int(d["n"]), int(d["rank"]), weights)
-        return DescribedInstance(weighted_rank_oracle(system), d, system=system)
-    if tag in ("two_sink", "zero_ratio", "gk"):
-        if tag == "two_sink":
-            inst = flows.make_two_sink_instance(int(d.get("alpha", 2)))
-        elif tag == "zero_ratio":
-            inst = flows.make_zero_ratio_instance(int(d.get("alpha", 2)))
-        else:
-            inst = flows.make_lower_bound_instance(int(d["alpha"]), int(d["k"]))
-        return DescribedInstance(flows.objective_oracle(inst), d, flow=inst)
-    if tag == "flow":
-        inst = flows.FlowInstance.from_json_dict(d["instance"])
-        return DescribedInstance(flows.objective_oracle(inst), d, flow=inst)
-    raise ParameterError(f"unknown family tag {tag!r}")
+    return family_entry(descriptor.get("family")).build(descriptor)

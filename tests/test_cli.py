@@ -5,7 +5,7 @@ import pytest
 
 import greedyaug as ga
 from greedyaug import cli, verify
-from greedyaug.families import CriticalParams, _oracle_from_parts
+from greedyaug.families import FAMILIES, CriticalParams, _oracle_from_parts
 
 F = Fraction
 
@@ -196,3 +196,82 @@ class TestGenInstance:
         assert ga.oracle_from_descriptor(descriptor).oracle.n == 8
         with pytest.raises(SystemExit):
             run(["gen-instance", "--family", "critical", "--params", '{"gamma": "2"}'])
+
+
+TWO_SINK_JSON = ga.make_two_sink_instance(2).to_json_dict()
+CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
+
+
+@pytest.mark.parametrize(
+    "argv, instance, fragment",
+    [
+        pytest.param(["trace", "--family", "critical", "--params",
+                      '{"gamma": "1", "alpha": "1", "k": null}'], None, "int()", id="null-k"),
+        pytest.param(["gen-instance", "--family", "gk", "--params", '{"alpha": null, "k": 2}'],
+                     None, "int()", id="null-alpha"),
+        pytest.param(["trace"], {**TWO_SINK_JSON, "arcs": None}, "--instance", id="null-arcs"),
+        pytest.param(["trace"], [TWO_SINK_JSON], "--instance", id="array-instance"),
+        pytest.param(["trace", "--family", "critical", "--params", CRITICAL_1_1_2, "--k", "9"],
+                     None, "k=9 outside 0..4", id="k-too-large"),
+        pytest.param(["trace", "--family", "critical", "--params", CRITICAL_1_1_2, "--k", "x"],
+                     None, "'x'", id="k-not-int"),
+        pytest.param(["ratio-table", "--family", "critical", "--k", "2,x"], None, "'x'",
+                     id="k-list-not-int"),
+        pytest.param(["ratio-table", "--family", "critical", "--params", '{"alpha": "2"}',
+                      "--k", "2"], None, "k must exceed alpha", id="k-not-above-alpha"),
+        pytest.param(["trace", "--family", "critical", "--params", '{"gamma": "1"}'], None,
+                     "missing key 'alpha'", id="missing-key"),
+        pytest.param(["trace", "--family", "mystery"], None, "unknown family tag 'mystery'",
+                     id="unknown-tag"),
+        pytest.param(["ratio-table", "--family", "square", "--k", "2"], None, "not 'square'",
+                     id="not-tabulable"),
+        pytest.param(["audit", "--family", "modular", "--params",
+                      '{"weights": ["1"], "alphas": "12"}'], None,
+                     "alphas must be a JSON list", id="alphas-string"),
+        pytest.param(["audit", "--family", "modular", "--params",
+                      '{"weights": ["1"], "alphas": "3/2"}'], None,
+                     "alphas must be a JSON list", id="alphas-rational-string"),
+    ],
+)
+def test_bad_input_exits_with_one_line(tmp_path, argv, instance, fragment):
+    if instance is not None:
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance))
+        argv = argv + ["--instance", str(path)]
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv)
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert fragment in message
+
+
+# One sample descriptor per registered tag; a new tag needs a sample here.
+SAMPLES = {
+    "critical": {"gamma": "1/2", "alpha": "1", "k": 3, "method": "exhaustive"},
+    "ratio_separator": {"gamma": "1/3"},
+    "rank_separator": {"q": "1/2", "alpha": "1", "m": 1, "n": 2},
+    "square": {"n": 3},
+    "modular": {"weights": ["3", "1/2", "2"]},
+    "uniform_matroid": {"n": 4, "rank": 2, "weights": ["1", "3", "2", "2"]},
+    "gk": {"alpha": 1, "k": 2, "epsilon": "1/10"},
+    "staircase": {"alpha": 1, "k": 2},
+    "two_sink": {"alpha": 2},
+    "zero_ratio": {},
+    "flow": {"instance": TWO_SINK_JSON},
+}
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_trace_matches_generated_instance(tmp_path, capsys, tag):
+    params = json.dumps(SAMPLES[tag])
+    assert run(["trace", "--family", tag, "--params", params]) == 0
+    direct = capsys.readouterr().out
+    written = tmp_path / "instance.json"
+    run(["gen-instance", "--family", tag, "--params", params, "--out", str(written)])
+    if FAMILIES[tag].flow is not None:
+        run(["trace", "--instance", str(written)])
+    else:
+        descriptor = json.loads(written.read_text())
+        run(["trace", "--family", descriptor["family"], "--params", written.read_text()])
+    assert capsys.readouterr().out == direct
+    assert direct.count("\n") > 1
