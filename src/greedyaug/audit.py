@@ -17,6 +17,10 @@ convention can be forced in cross-experiments.  "weak" scope restricts X to
 the greedy chain under the configured tie policy (the weak classes are
 tie-policy-dependent, so reports record the policy); "strong" scope ranges
 over every subset.
+
+Both augmentability audits and ``min_alpha_for`` read one scan: pair (X, Y)
+needs alpha >= (gamma*f(X+Y) - |Y|*best_gain) / f(X), ``min_alpha_for`` is the
+largest need, and an audit at alpha fails at the first pair needing more.
 """
 
 from __future__ import annotations
@@ -111,53 +115,58 @@ def _scope_sets(f: SetFunctionOracle, scope: str, tie: TiePolicy) -> list[int]:
     raise ParameterError(f"unknown scope {scope!r}")
 
 
-def _best_gain_table(f, x_set, n, existential, buffer):
-    """buffer[Y] = best gain of a witness candidate for pair (x_set, Y), or None."""
+def _singleton_gains(f, x_set, inside=None):
+    """f(X) and the gain of each element at X; elements of X get ``inside``."""
     fx = f.value(x_set)
-    gain = [None] * n
-    for y in range(n):
-        if x_set >> y & 1:
-            if existential == "full":
-                gain[y] = ZERO  # adding an element of X changes nothing
-        else:
-            gain[y] = f.value(x_set | (1 << y)) - fx
-    buffer[0] = None
-    for y_set in range(1, 1 << n):
-        low = y_set & -y_set
-        g = gain[low.bit_length() - 1]
-        prev = buffer[y_set ^ low]
-        if prev is None:
-            buffer[y_set] = g
-        elif g is None or prev >= g:
-            buffer[y_set] = prev
-        else:
-            buffer[y_set] = g
-    return fx
+    gains = [inside if x_set >> y & 1 else f.value(x_set | (1 << y)) - fx for y in range(f.n)]
+    return fx, gains
 
 
-def _augmentability_audit(f, gamma, alpha, scope, tie, existential, max_elements):
+def _least_alpha(f, gamma, scope, tie, existential, max_elements, cap=None):
+    """(alpha, X, Y, best gain, pairs checked): the least alpha >= gamma over
+    in-scope pairs (X, Y), Y not inside X, in mask order.  X and Y name the pair
+    that stopped the scan, by needing more than ``cap`` or, with f(X) = 0, any
+    finite alpha (then alpha = inf); they are None when the scan completes.
+    """
     if existential not in ("full", "difference"):
         raise ParameterError(f"unknown existential scope {existential!r}")
-    n = f.n
-    _guard(n, scope, max_elements)
-    size = 1 << n
-    buffer = [None] * size
+    inside = ZERO if existential == "full" else None  # adding an element of X changes nothing
+    _guard(f.n, scope, max_elements)
+    size = 1 << f.n
+    best = [None] * size  # best[Y] = best gain of a witness candidate in Y, or None
+    needed = gamma
     checked = 0
     for x_set in _scope_sets(f, scope, tie):
-        fx = _best_gain_table(f, x_set, n, existential, buffer)
-        threshold_base = alpha * fx
+        fx, gains = _singleton_gains(f, x_set, inside)
+        bar = needed * fx
         for y_set in range(1, size):
+            low = y_set & -y_set
+            g, prev = gains[low.bit_length() - 1], best[y_set ^ low]
+            if prev is not None and (g is None or prev >= g):
+                g = prev
+            best[y_set] = g
             if y_set & ~x_set == 0:
                 continue  # Y inside X is vacuous
             checked += 1
-            best = buffer[y_set]
-            needed = gamma * f.value(x_set | y_set) - threshold_base
-            if best * y_set.bit_count() < needed:
-                witness = Witness(x_set, y_set, best, needed / y_set.bit_count())
-                return AuditReport(
-                    False, gamma, alpha, scope, tie, existential, witness, checked
-                )
-    return AuditReport(True, gamma, alpha, scope, tie, existential, None, checked)
+            shortfall = gamma * f.value(x_set | y_set) - g * y_set.bit_count()
+            if shortfall > bar:
+                if fx == 0:
+                    return math.inf, x_set, y_set, g, checked
+                needed, bar = shortfall / fx, shortfall
+                if cap is not None and needed > cap:
+                    return needed, x_set, y_set, g, checked
+    return needed, None, None, None, checked
+
+
+def _augmentability_audit(f, gamma, alpha, scope, tie, existential, max_elements):
+    _, x_set, y_set, best, checked = _least_alpha(
+        f, gamma, scope, tie, existential, max_elements, cap=alpha
+    )
+    witness = None
+    if x_set is not None:
+        rhs = (gamma * f.value(x_set | y_set) - alpha * f.value(x_set)) / y_set.bit_count()
+        witness = Witness(x_set, y_set, best, rhs)
+    return AuditReport(witness is None, gamma, alpha, scope, tie, existential, witness, checked)
 
 
 def check_alpha_augmentable(
@@ -212,18 +221,13 @@ def weak_submodularity_ratio(
     from X.  Pairs with zero joint gain count as 1 when the singleton sum is
     zero too and are excluded (treated as +inf) otherwise.
     """
-    n = f.n
-    _guard(n, "weak", max_elements)
-    size = 1 << n
+    _guard(f.n, "weak", max_elements)
+    size = 1 << f.n
     sums: list[Fraction | None] = [None] * size
     best = RatioResult(Fraction(1), 0, 0, 0, tie)
     checked = 0
     for x_set in _chain_prefixes(f, tie):
-        fx = f.value(x_set)
-        gain = [ZERO] * n
-        for y in range(n):
-            if not x_set >> y & 1:
-                gain[y] = f.value(x_set | (1 << y)) - fx
+        fx, gain = _singleton_gains(f, x_set)
         sums[0] = ZERO
         for y_set in range(1, size):
             if y_set & x_set:
@@ -250,33 +254,15 @@ def min_alpha_for(
 ) -> Fraction | float:
     """Least alpha >= gamma making the gamma-alpha audit pass, or +inf.
 
-    Computed as the maximum over in-scope pairs with f(X) > 0 of
-    (gamma*f(X+Y) - |Y|*best_gain) / f(X); pairs with f(X) = 0 must already
-    be satisfied by the best gain, otherwise no finite alpha works.
+    The maximum over in-scope pairs with f(X) > 0 of
+    (gamma*f(X+Y) - |Y|*best_gain) / f(X), from the scan that also decides
+    the audits; a pair with f(X) = 0 that the best gain leaves short makes
+    every alpha fail.
     """
     gamma = as_fraction(gamma)
     if not 0 < gamma <= 1:
         raise ParameterError(f"gamma must lie in (0,1], got {gamma}")
-    n = f.n
-    _guard(n, scope, max_elements)
-    size = 1 << n
-    buffer = [None] * size
-    needed = gamma
-    for x_set in _scope_sets(f, scope, tie):
-        fx = _best_gain_table(f, x_set, n, existential, buffer)
-        for y_set in range(1, size):
-            if y_set & ~x_set == 0:
-                continue
-            covered = buffer[y_set] * y_set.bit_count()
-            shortfall = gamma * f.value(x_set | y_set) - covered
-            if fx == 0:
-                if shortfall > 0:
-                    return math.inf
-                continue
-            alpha = shortfall / fx
-            if alpha > needed:
-                needed = alpha
-    return needed
+    return _least_alpha(f, gamma, scope, tie, existential, max_elements)[0]
 
 
 @dataclass(frozen=True)

@@ -120,8 +120,8 @@ class SetFunctionOracle:
     """A deterministic nonnegative set function, queried by bitmask.
 
     Results are memoized, which doubles as the purity contract: two queries
-    for the same subset return the identical Fraction.  The type does not
-    assume monotonicity; that is something the auditors check.
+    for the same subset return the identical Fraction.  Monotonicity is
+    assumed, not checked: neither this type nor the auditors verify it.
     """
 
     def __init__(self, ground: GroundSet, fn: Callable[[int], Fraction], name: str = "f"):

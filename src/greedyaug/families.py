@@ -306,12 +306,27 @@ def _system_described(system: IndependenceSystem, oracle=None) -> DescribedInsta
     return DescribedInstance(oracle, system=system)
 
 
+def _int(d: dict, key: str, default=None) -> int:
+    """A parameter that must be a JSON integer: no int() of floats, bools or strings."""
+    value = d[key] if default is None else d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{key} must be a JSON integer, got {value!r} (no int() coercion)")
+    return value
+
+
+def _rationals(d: dict, key: str) -> list[Fraction]:
+    """A parameter that must be a JSON list of rationals."""
+    if not isinstance(d[key], list):
+        raise ParameterError(f"{key} must be a JSON list, got {d[key]!r}")
+    return [parse_rational(v) for v in d[key]]
+
+
 # Builders call constructors by module-global name at call time, so a
 # constructor replaced on its module (e.g. by a tracing wrapper) is the one run.
 FAMILIES: dict[str, Family] = {
     "critical": Family(
         lambda d: DescribedInstance(make_critical_function(
-            parse_rational(d["gamma"]), parse_rational(d["alpha"]), int(d["k"]),
+            parse_rational(d["gamma"]), parse_rational(d["alpha"]), _int(d, "k"),
             method=d.get("method", "closed"),
         )),
         shape=lambda p: (parse_rational(p.get("gamma", 1)), parse_rational(p.get("alpha", 1))),
@@ -323,27 +338,25 @@ FAMILIES: dict[str, Family] = {
         lambda d: DescribedInstance(make_ratio_separator(parse_rational(d["gamma"])))
     ),
     "rank_separator": Family(lambda d: _system_described(*make_rank_separator(
-        parse_rational(d["q"]), parse_rational(d["alpha"]), int(d["m"]), int(d["n"])
+        parse_rational(d["q"]), parse_rational(d["alpha"]), _int(d, "m"), _int(d, "n")
     ))),
-    "square": Family(lambda d: DescribedInstance(make_square_cardinality(int(d["n"])))),
-    "modular": Family(
-        lambda d: DescribedInstance(make_modular([parse_rational(w) for w in d["weights"]]))
-    ),
+    "square": Family(lambda d: DescribedInstance(make_square_cardinality(_int(d, "n")))),
+    "modular": Family(lambda d: DescribedInstance(make_modular(_rationals(d, "weights")))),
     "uniform_matroid": Family(lambda d: _system_described(uniform_matroid(
-        int(d["n"]), int(d["rank"]),
-        [parse_rational(w) for w in d["weights"]] if "weights" in d else None,
+        _int(d, "n"), _int(d, "rank"), _rationals(d, "weights") if "weights" in d else None,
     ))),
     "gk": _flow_family(
         lambda d: flows.make_lower_bound_instance(
-            int(d["alpha"]), int(d["k"]), parse_rational(d["epsilon"]) if "epsilon" in d else None
+            _int(d, "alpha"), _int(d, "k"),
+            parse_rational(d["epsilon"]) if "epsilon" in d else None,
         ),
-        shape=lambda p: (1, int(p.get("alpha", 1))),
+        shape=lambda p: (1, _int(p, "alpha", 1)),
         ratio=lambda gamma, alpha, k: flows.lower_bound_ratio_closed_form(alpha, k),
         size=lambda alpha, k: 2 * alpha * k,
         measure_limit=6,
     ),
-    "two_sink": _flow_family(lambda d: flows.make_two_sink_instance(int(d.get("alpha", 2)))),
-    "zero_ratio": _flow_family(lambda d: flows.make_zero_ratio_instance(int(d.get("alpha", 2)))),
+    "two_sink": _flow_family(lambda d: flows.make_two_sink_instance(_int(d, "alpha", 2))),
+    "zero_ratio": _flow_family(lambda d: flows.make_zero_ratio_instance(_int(d, "alpha", 2))),
     "flow": _flow_family(lambda d: flows.FlowInstance.from_json_dict(d["instance"])),
 }
 FAMILIES["staircase"] = FAMILIES["gk"]

@@ -172,6 +172,10 @@ class TestMinAlpha:
         f = ga.SetFunctionOracle(ga.GroundSet(2), lambda m: F(1) if m == pair else F(0))
         assert ga.min_alpha_for(f, 1) == math.inf
 
+    def test_unknown_existential_rejected(self):
+        with pytest.raises(ga.ParameterError, match="existential"):
+            ga.min_alpha_for(ga.make_modular([3, 1, 2]), 1, existential="bogus")
+
 
 class TestCertifiedBound:
     def test_critical_equality_at_k(self, f112):
@@ -241,21 +245,56 @@ def test_non_member_witnesses_reverify(data):
         recheck_witness(f, report)
 
 
-def naive_augmentability(f, gamma, alpha, x_sets, existential):
-    """Reference evaluation of the quantified property by direct loops."""
+def naive_best_gain(f, x_set, y_set, existential):
+    return max(
+        f.value(x_set | (1 << y)) - f.value(x_set)
+        for y in ga.indices_of(y_set)
+        if existential == "full" or not x_set >> y & 1
+    )
+
+
+def naive_pairs(f, x_sets):
+    """In-scope pairs (X, Y) with Y not inside X, in mask order."""
     for x_set in x_sets:
         for y_set in range(1, 1 << f.n):
-            if y_set & ~x_set == 0:
-                continue
-            gains = [
-                f.value(x_set | (1 << y)) - f.value(x_set)
-                for y in ga.indices_of(y_set)
-                if existential == "full" or not x_set >> y & 1
-            ]
-            needed = gamma * f.value(x_set | y_set) - alpha * f.value(x_set)
-            if max(gains) * y_set.bit_count() < needed:
-                return False, x_set, y_set
-    return True, None, None
+            if y_set & ~x_set:
+                yield x_set, y_set
+
+
+def naive_augmentability(f, gamma, alpha, x_sets, existential):
+    """Reference evaluation of the quantified property by direct loops.
+
+    Returns (member, X, Y, pairs examined up to and including the witness).
+    """
+    checked = 0
+    for x_set, y_set in naive_pairs(f, x_sets):
+        checked += 1
+        best = naive_best_gain(f, x_set, y_set, existential)
+        needed = gamma * f.value(x_set | y_set) - alpha * f.value(x_set)
+        if best * y_set.bit_count() < needed:
+            return False, x_set, y_set, checked
+    return True, None, None, checked
+
+
+def naive_min_alpha(f, gamma, x_sets, existential):
+    """Least alpha >= gamma satisfying every pair, or +inf, by direct loops."""
+    needed = gamma
+    for x_set, y_set in naive_pairs(f, x_sets):
+        best = naive_best_gain(f, x_set, y_set, existential)
+        shortfall = gamma * f.value(x_set | y_set) - best * y_set.bit_count()
+        if f.value(x_set) == 0:
+            if shortfall > 0:
+                return math.inf
+        else:
+            needed = max(needed, shortfall / f.value(x_set))
+    return needed
+
+
+def scope_sets(f, scope):
+    if scope == "strong":
+        return range(1 << f.n)
+    trace = ga.greedy_adaptive(f, f.n)
+    return trace.chain[: ga.saturation_cardinality(f) + 1]
 
 
 def naive_weak_ratio(f, tie):
@@ -291,15 +330,34 @@ def test_audit_engine_matches_naive_reference(data, gamma, alpha, scope, existen
     report = ga.check_gamma_alpha_augmentable(
         f, gamma, alpha, scope=scope, existential=existential
     )
-    if scope == "weak":
-        trace = ga.greedy_adaptive(f, n)
-        x_sets = trace.chain[: ga.saturation_cardinality(f) + 1]
-    else:
-        x_sets = range(1 << n)
-    member, x_set, y_set = naive_augmentability(f, gamma, alpha, x_sets, existential)
+    member, x_set, y_set, checked = naive_augmentability(
+        f, gamma, alpha, scope_sets(f, scope), existential
+    )
     assert report.member == member
+    assert report.checked_pairs == checked
     if not member:
         assert (report.witness.x_set, report.witness.y_set) == (x_set, y_set)
+        recheck_witness(f, report)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_oracles,
+    st.sampled_from([F(1, 2), F(1)]),
+    st.sampled_from(["weak", "strong"]),
+    st.sampled_from(["full", "difference"]),
+)
+def test_min_alpha_matches_naive_reference(data, gamma, scope, existential):
+    n, increments = data
+    f = build_monotone_oracle(n, increments)
+    least = ga.min_alpha_for(f, gamma, scope=scope, existential=existential)
+    assert least == naive_min_alpha(f, gamma, scope_sets(f, scope), existential)
+    for alpha in (gamma, F(1), F(3, 2), F(2)):
+        if alpha >= gamma:
+            report = ga.check_gamma_alpha_augmentable(
+                f, gamma, alpha, scope=scope, existential=existential
+            )
+            assert report.member == (least <= alpha)
 
 
 @settings(max_examples=30, deadline=None)

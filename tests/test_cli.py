@@ -231,6 +231,18 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
         pytest.param(["audit", "--family", "modular", "--params",
                       '{"weights": ["1"], "alphas": "3/2"}'], None,
                      "alphas must be a JSON list", id="alphas-rational-string"),
+        pytest.param(["trace", "--family", "critical", "--params",
+                      '{"gamma": "1", "alpha": "1", "k": 2.9}'], None,
+                     "k must be a JSON integer, got 2.9", id="float-k"),
+        pytest.param(["trace", "--family", "modular", "--params", '{"weights": "12"}'], None,
+                     "weights must be a JSON list, got '12'", id="weights-string"),
+        pytest.param(["trace", "--family", "square", "--params", '{"n": true}'], None,
+                     "n must be a JSON integer, got True", id="bool-n"),
+        pytest.param(["trace", "--family", "uniform_matroid", "--params",
+                      '{"n": 3, "rank": 1.5}'], None,
+                     "rank must be a JSON integer, got 1.5", id="float-rank"),
+        pytest.param(["gen-instance", "--family", "two_sink", "--params", '{"alpha": 2.7}'],
+                     None, "alpha must be a JSON integer, got 2.7", id="float-alpha"),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, argv, instance, fragment):
