@@ -50,6 +50,13 @@ def as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def require_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{name} must be a JSON integer, got {value!r} (no int() coercion)")
+    return value
+
+
 def parse_rational(text) -> Fraction:
     """Parse a "p/q" or "p" string; ints and Fractions pass through."""
     if isinstance(text, Fraction):

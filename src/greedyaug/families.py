@@ -38,6 +38,7 @@ from .core import (
     as_fraction,
     iter_submasks,
     parse_rational,
+    require_int,
 )
 from .independence import IndependenceSystem, uniform_matroid, weighted_rank_oracle
 from . import flows
@@ -308,10 +309,7 @@ def _system_described(system: IndependenceSystem, oracle=None) -> DescribedInsta
 
 def _int(d: dict, key: str, default=None) -> int:
     """A parameter that must be a JSON integer: no int() of floats, bools or strings."""
-    value = d[key] if default is None else d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{key} must be a JSON integer, got {value!r} (no int() coercion)")
-    return value
+    return require_int(d[key] if default is None else d.get(key, default), key)
 
 
 def _rationals(d: dict, key: str) -> list[Fraction]:

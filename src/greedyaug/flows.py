@@ -9,6 +9,14 @@ excess at least d_t to each chosen t.  That maximum is computed here as one
 exact-rational LP over all commodity flows plus the demands; a commodity-wise
 max-flow is not enough because the demands couple the commodities.
 
+Each instance builds that LP once (``FlowInstance.lp_model``), with a demand
+column for every sink; a selection only sets the objective to 1 on the chosen
+sinks' demands.  An unchosen demand can drop to 0 at no cost, so it changes
+no optimum.  The model lets every non-source vertex absorb flow (excess >= 0)
+rather than conserve it, which changes no optimum either: such a preflow
+decomposes into paths from the source, and dropping the paths that end at
+internal vertices only lowers flows and leaves every sink's excess as it was.
+
 Capacities may be infinite.  The LP simply omits capacity rows for such arcs
 (the objective stays bounded whenever the instance is well-posed, and the
 solver raises if not); the combinatorial max-flow routine replaces them with
@@ -22,6 +30,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import exactlp
 from .core import (
@@ -32,6 +41,7 @@ from .core import (
     format_rational,
     indices_of,
     parse_rational,
+    require_int,
 )
 
 INF = math.inf
@@ -39,6 +49,15 @@ INF = math.inf
 
 class LPSizeError(ValueError):
     """The objective LP would exceed the variable-count guard."""
+
+
+def _parse_capacity(token):
+    """A JSON capacity: a "p/q" string, a JSON integer, or "inf"."""
+    if token == "inf":
+        return INF
+    if isinstance(token, str) or (isinstance(token, int) and not isinstance(token, bool)):
+        return parse_rational(token)
+    raise ParameterError(f'capacity must be a "p/q" string, a JSON integer or "inf", got {token!r}')
 
 
 def _check_capacity(value):
@@ -97,6 +116,44 @@ class FlowInstance:
     def commodities(self) -> int:
         return len(self.capacities)
 
+    @cached_property
+    def lp_model(self) -> tuple[tuple, tuple, int]:
+        """``(rows, rhs, first_demand)`` of ``rows . x <= rhs``, shared by every selection.
+
+        Columns: one flow per (commodity, arc) with positive capacity, then one
+        demand per sink in sink order, from column ``first_demand``.  Rows: one
+        capacity row per finite-capacity flow column, then per commodity and
+        non-source vertex v, ``outflow(v) - inflow(v) + d_v <= 0`` (d_v only
+        when v is a sink).
+        """
+        flow = [
+            (i, e) for i, row in enumerate(self.capacities) for e, c in enumerate(row) if c != 0
+        ]
+        width = len(flow) + len(self.sinks)
+        rows, rhs = [], []
+        for var, (i, e) in enumerate(flow):
+            if self.capacities[i][e] != INF:
+                rows.append([exactlp.ZERO] * width)
+                rows[-1][var] = exactlp.ONE
+                rhs.append(self.capacities[i][e])
+        balance = [
+            [[exactlp.ZERO] * width for _ in range(self.num_vertices)]
+            for _ in range(self.commodities)
+        ]
+        for var, (i, e) in enumerate(flow):
+            u, v = self.arcs[e]
+            balance[i][u][var] += exactlp.ONE
+            balance[i][v][var] -= exactlp.ONE
+        for j, t in enumerate(self.sinks):
+            for per_vertex in balance:
+                per_vertex[t][len(flow) + j] = exactlp.ONE
+        for per_vertex in balance:
+            for v, row in enumerate(per_vertex):
+                if v != self.source:
+                    rows.append(row)
+                    rhs.append(exactlp.ZERO)
+        return tuple(map(tuple, rows)), tuple(rhs), len(flow)
+
     def vertex_label(self, v: int) -> str:
         return self.labels[v] if self.labels else f"v{v}"
 
@@ -122,17 +179,17 @@ class FlowInstance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FlowInstance":
-        caps = tuple(
-            tuple(INF if c == "inf" else parse_rational(c) for c in row)
-            for row in d["capacities"]
-        )
-        if len(caps) != d.get("commodities", len(caps)):
+        caps = tuple(tuple(_parse_capacity(c) for c in row) for row in d["capacities"])
+        if len(caps) != require_int(d.get("commodities", len(caps)), "commodities"):
             raise ParameterError("commodity count disagrees with capacity rows")
         return cls(
-            num_vertices=d["vertices"],
-            arcs=tuple((u, v) for u, v in d["arcs"]),
-            source=d["source"],
-            sinks=tuple(d["sinks"]),
+            num_vertices=require_int(d["vertices"], "vertices"),
+            arcs=tuple(
+                (require_int(u, "arc endpoint"), require_int(v, "arc endpoint"))
+                for u, v in d["arcs"]
+            ),
+            source=require_int(d["source"], "source"),
+            sinks=tuple(require_int(t, "sink") for t in d["sinks"]),
             capacities=caps,
             labels=tuple(d["labels"]) if d.get("labels") else None,
             name=d.get("name", "flow"),
@@ -143,87 +200,26 @@ class FlowInstance:
         return cls.from_json_dict(json.loads(text))
 
 
-def _incidence(inst: FlowInstance):
-    into = [[] for _ in range(inst.num_vertices)]
-    out_of = [[] for _ in range(inst.num_vertices)]
-    for e, (u, v) in enumerate(inst.arcs):
-        out_of[u].append(e)
-        into[v].append(e)
-    return into, out_of
-
-
 def evaluate_objective(inst: FlowInstance, sink_mask: int, var_guard: int = 5000) -> Fraction:
-    """Exact value of selecting the sinks in ``sink_mask`` (bitmask over sink order)."""
+    """Exact value of selecting the sinks in ``sink_mask`` (bitmask over sink order).
+
+    Solves the instance's one ``lp_model`` with objective 1 on the demand
+    columns of the chosen sinks and 0 elsewhere.  ``var_guard`` bounds the
+    column count as (arcs x commodities) + a demand column for every sink,
+    chosen or not.
+    """
     chosen = indices_of(sink_mask)
     if any(i >= len(inst.sinks) for i in chosen):
         raise ParameterError("sink mask outside the sink set")
     if not chosen:
         return Fraction(0)
-    n_arcs = len(inst.arcs)
-    if n_arcs * inst.commodities + len(chosen) > var_guard:
-        raise LPSizeError(
-            f"{n_arcs * inst.commodities + len(chosen)} variables exceed guard {var_guard}"
-        )
-
-    # Variables: one flow per (commodity, arc) with positive capacity, then one
-    # demand per chosen sink.
-    var_of = {}
-    for i in range(inst.commodities):
-        for e in range(n_arcs):
-            if inst.capacities[i][e] != 0:
-                var_of[(i, e)] = len(var_of)
-    demand_of = {}
-    for t in chosen:
-        demand_of[t] = len(var_of) + len(demand_of)
-    nvars = len(var_of) + len(demand_of)
-
-    rows = []
-    rhs = []
-
-    def new_row():
-        rows.append([exactlp.ZERO] * nvars)
-        rhs.append(exactlp.ZERO)
-        return rows[-1]
-
-    for (i, e), var in var_of.items():
-        cap = inst.capacities[i][e]
-        if cap != INF:
-            row = new_row()
-            row[var] = exactlp.ONE
-            rhs[-1] = cap
-
-    into, out_of = _incidence(inst)
-    sink_set = set(inst.sinks)
-    selected_vertices = {inst.sinks[i]: i for i in chosen}
-
-    def excess_coeffs(row, i, v, sign):
-        for e in into[v]:
-            var = var_of.get((i, e))
-            if var is not None:
-                row[var] += sign
-        for e in out_of[v]:
-            var = var_of.get((i, e))
-            if var is not None:
-                row[var] -= sign
-
-    for i in range(inst.commodities):
-        for v in range(inst.num_vertices):
-            if v == inst.source:
-                continue
-            if v in sink_set:
-                row = new_row()  # excess >= demand (or >= 0): -excess + d <= 0
-                excess_coeffs(row, i, v, -exactlp.ONE)
-                if v in selected_vertices:
-                    row[demand_of[selected_vertices[v]]] = exactlp.ONE
-            else:
-                row = new_row()  # conservation, as two inequalities
-                excess_coeffs(row, i, v, exactlp.ONE)
-                row = new_row()
-                excess_coeffs(row, i, v, -exactlp.ONE)
-
-    objective = [exactlp.ZERO] * nvars
-    for var in demand_of.values():
-        objective[var] = exactlp.ONE
+    columns = len(inst.arcs) * inst.commodities + len(inst.sinks)
+    if columns > var_guard:
+        raise LPSizeError(f"{columns} variables exceed guard {var_guard}")
+    rows, rhs, first_demand = inst.lp_model
+    objective = [exactlp.ZERO] * first_demand + [
+        exactlp.ONE if sink_mask >> j & 1 else exactlp.ZERO for j in range(len(inst.sinks))
+    ]
     try:
         solution = exactlp.maximize(objective, rows, rhs)
     except exactlp.Unbounded as exc:

@@ -67,20 +67,15 @@ class IndependenceSystem:
             total += self.weights[i]
         return total
 
-    def validate(self, exhaustive_limit: int = 16, samples: int = 512, seed: int = 0) -> None:
+    def validate(self) -> None:
         """Check the empty set and subset closure; raise MalformedSystem on failure.
 
-        Exhaustive up to ``exhaustive_limit`` elements, randomized sampling above.
+        Exhaustive over all 2**n masks, O(n * 2**n) predicate lookups: no more
+        than the rank oracle and ``rank_quotient`` that call it already cost.
         """
         if not self.independent(0):
             raise MalformedSystem(f"{self.name}: empty set must be independent")
-        n = self.n
-        if n <= exhaustive_limit:
-            masks = range(1, 1 << n)
-        else:
-            rng = random.Random(seed)
-            masks = (rng.randrange(1, 1 << n) for _ in range(samples))
-        for mask in masks:
+        for mask in range(1, 1 << self.n):
             if not self.independent(mask):
                 continue
             probe = mask

@@ -199,6 +199,9 @@ class TestGenInstance:
 
 
 TWO_SINK_JSON = ga.make_two_sink_instance(2).to_json_dict()
+# Source 1 between sinks 0 and 2, so a JSON true or 1.0 is a valid vertex once coerced.
+THREE_VERTEX_JSON = {"vertices": 3, "source": 1, "sinks": [0, 2], "arcs": [[1, 0], [1, 2], [0, 2]],
+                     "capacities": [["1", "2", "1/2"]]}
 CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
 
 
@@ -243,6 +246,18 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
                      "rank must be a JSON integer, got 1.5", id="float-rank"),
         pytest.param(["gen-instance", "--family", "two_sink", "--params", '{"alpha": 2.7}'],
                      None, "alpha must be a JSON integer, got 2.7", id="float-alpha"),
+        pytest.param(["trace"], {**THREE_VERTEX_JSON, "source": True}, "source must be a JSON "
+                     "integer, got True", id="bool-source"),
+        pytest.param(["trace"], {**THREE_VERTEX_JSON, "arcs": [[1, 0], [1, 2], [0, True]]},
+                     "arc endpoint must be a JSON integer, got True", id="bool-arc-endpoint"),
+        pytest.param(["trace"], {**THREE_VERTEX_JSON, "capacities": [["1", True, "1/2"]]},
+                     'capacity must be a "p/q" string, a JSON integer or "inf", got True',
+                     id="bool-capacity"),
+        pytest.param(["trace"], {**THREE_VERTEX_JSON, "capacities": [["1", "2", 0.1]]},
+                     'capacity must be a "p/q" string, a JSON integer or "inf", got 0.1',
+                     id="float-capacity"),
+        pytest.param(["trace"], {**THREE_VERTEX_JSON, "sinks": [0, 2.0]},
+                     "sink must be a JSON integer, got 2.0", id="float-sink"),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, argv, instance, fragment):

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greedyaug as ga
 from greedyaug import exactlp
 
 F = Fraction
+INF = ga.flows.INF
 
 
 class TestTwoSink:
@@ -222,3 +225,84 @@ class TestSerialization:
     def test_infinite_token(self, staircase_a2k2):
         inst, _ = staircase_a2k2
         assert '"inf"' in inst.to_json()
+
+
+def reference_objective(inst, sink_mask):
+    """The per-mask LP: demand columns only for the chosen sinks, conservation
+    at internal vertices as two rows, and excess >= demand (or >= 0) at sinks."""
+    chosen = ga.indices_of(sink_mask)
+    if not chosen:
+        return F(0)
+    flow = [(i, e) for i in range(inst.commodities) for e in range(len(inst.arcs))
+            if inst.capacities[i][e] != 0]
+    demand = {inst.sinks[j]: len(flow) + r for r, j in enumerate(chosen)}
+    width = len(flow) + len(demand)
+    rows, rhs = [], []
+    for var, (i, e) in enumerate(flow):
+        if inst.capacities[i][e] != INF:
+            rows.append([F(0)] * width)
+            rows[-1][var] = F(1)
+            rhs.append(inst.capacities[i][e])
+    for i in range(inst.commodities):
+        for v in range(inst.num_vertices):
+            if v == inst.source:
+                continue
+            inflow = [F(0)] * width
+            for var, (c, e) in enumerate(flow):
+                if c == i:
+                    inflow[var] += (inst.arcs[e][1] == v) - (inst.arcs[e][0] == v)
+            outflow = [-a for a in inflow]
+            if v in inst.sinks:
+                if v in demand:
+                    outflow[demand[v]] = F(1)
+                rows.append(outflow)
+                rhs.append(F(0))
+            else:
+                rows += [inflow, outflow]
+                rhs += [F(0), F(0)]
+    objective = [F(0)] * len(flow) + [F(1)] * len(demand)
+    return exactlp.maximize(objective, rows, rhs).value
+
+
+def outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except exactlp.Unbounded:
+        return "unbounded"
+
+
+@st.composite
+def flow_instances(draw, max_commodities=3):
+    n = draw(st.integers(3, 7))
+    source = draw(st.integers(0, n - 1))
+    others = [v for v in range(n) if v != source]
+    sinks = draw(st.lists(st.sampled_from(others), min_size=1, max_size=min(4, n - 1),
+                          unique=True))
+    pairs = [(u, w) for u in range(n) for w in range(n) if u != w]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=14, unique=True))
+    capacity = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(5, 3), INF])
+    rows = [draw(st.lists(capacity, min_size=len(arcs), max_size=len(arcs)))
+            for _ in range(draw(st.integers(1, max_commodities)))]
+    return ga.FlowInstance(n, tuple(arcs), source, tuple(sinks), tuple(map(tuple, rows)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(flow_instances())
+def test_objective_matches_per_mask_reference(inst):
+    for mask in range(1 << len(inst.sinks)):
+        assert outcome(ga.evaluate_objective, inst, mask) == outcome(reference_objective, inst, mask)
+
+
+@settings(max_examples=40, deadline=None)
+@given(flow_instances(max_commodities=1))
+def test_lp_agrees_with_max_flow_on_random_single_commodity(inst):
+    finite_total = sum(c for c in inst.capacities[0] if c != INF)
+    for mask in range(1 << len(inst.sinks)):
+        value = outcome(ga.evaluate_objective, inst, mask)
+        flow = ga.max_flow(inst, 0, mask)
+        if value == "unbounded":
+            # an uncapacitated path reaches a chosen sink; max_flow's finite
+            # stand-in for inf then exceeds every finite capacity total
+            assert flow > finite_total
+        else:
+            assert value == flow

@@ -41,6 +41,11 @@ class TestSystems:
         with pytest.raises(ga.MalformedSystem):
             bad.validate()
 
+    def test_validate_is_exhaustive_above_sixteen_elements(self):
+        bad = ga.IndependenceSystem(ga.GroundSet(17), lambda mask: mask != 0b1, [1] * 17)
+        with pytest.raises(ga.MalformedSystem):
+            ga.weighted_rank_oracle(bad, max_elements=17)
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ga.MalformedSystem):
             ga.free_system([1, -1])
