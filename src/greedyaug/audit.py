@@ -21,17 +21,18 @@ over every subset.
 Both augmentability audits and ``min_alpha_for`` read one scan: pair (X, Y)
 needs alpha >= (gamma*f(X+Y) - |Y|*best_gain) / f(X), ``min_alpha_for`` is the
 largest need, and an audit at alpha fails at the first pair needing more.
+
+Before evaluating f, every audit passes its pair count to ``require_budget``:
+4**n for strong scope, (n+1)*2**n for weak scope (at most n+1 chain prefixes).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    GroundSetTooLarge,
     ParameterError,
     SetFunctionOracle,
     TiePolicy,
@@ -41,11 +42,9 @@ from .core import (
     greedy_adaptive,
     indices_of,
     optimum_profile,
+    require_budget,
     saturation_point,
 )
-
-WEAK_GUARD = 20
-STRONG_GUARD = 16
 
 
 @dataclass(frozen=True)
@@ -93,26 +92,27 @@ class AuditReport:
         return out
 
 
-def _guard(n: int, scope: str, max_elements: int | None) -> None:
-    default = WEAK_GUARD if scope == "weak" else STRONG_GUARD
-    limit = default if max_elements is None else max_elements
-    if max_elements is not None and max_elements > default:
-        warnings.warn(f"overriding {scope}-scope size guard {default} -> {max_elements}")
-    if n > limit:
-        raise GroundSetTooLarge(f"n={n} exceeds {scope}-scope guard {limit}")
-
-
-def _chain_prefixes(f: SetFunctionOracle, tie: TiePolicy) -> list[int]:
-    trace = greedy_adaptive(f, f.n, tie)
-    return list(trace.chain[: saturation_point(trace) + 1])
+def _parameters(gamma, alpha=None) -> tuple[Fraction, Fraction]:
+    """(gamma, alpha) as Fractions, gamma in (0,1] and alpha >= gamma; alpha defaults to gamma."""
+    gamma = as_fraction(gamma)
+    if not 0 < gamma <= 1:
+        raise ParameterError(f"gamma must lie in (0,1], got {gamma}")
+    alpha = gamma if alpha is None else as_fraction(alpha)
+    if alpha < gamma:
+        raise ParameterError(f"alpha must be >= gamma, got alpha={alpha}, gamma={gamma}")
+    return gamma, alpha
 
 
 def _scope_sets(f: SetFunctionOracle, scope: str, tie: TiePolicy) -> list[int]:
-    if scope == "weak":
-        return _chain_prefixes(f, tie)
+    """The in-scope X sets, once the scope's pair count is within budget."""
+    n = f.n
+    if scope not in ("weak", "strong"):
+        raise ParameterError(f"unknown scope {scope!r}")
+    require_budget((n + 1) << n if scope == "weak" else 4**n, f"{scope}-scope audit over n={n}")
     if scope == "strong":
-        return list(range(1 << f.n))
-    raise ParameterError(f"unknown scope {scope!r}")
+        return list(range(1 << n))
+    trace = greedy_adaptive(f, n, tie)
+    return list(trace.chain[: saturation_point(trace) + 1])
 
 
 def _singleton_gains(f, x_set, inside=None):
@@ -122,7 +122,7 @@ def _singleton_gains(f, x_set, inside=None):
     return fx, gains
 
 
-def _least_alpha(f, gamma, scope, tie, existential, max_elements, cap=None):
+def _least_alpha(f, gamma, scope, tie, existential, cap=None):
     """(alpha, X, Y, best gain, pairs checked): the least alpha >= gamma over
     in-scope pairs (X, Y), Y not inside X, in mask order.  X and Y name the pair
     that stopped the scan, by needing more than ``cap`` or, with f(X) = 0, any
@@ -131,12 +131,12 @@ def _least_alpha(f, gamma, scope, tie, existential, max_elements, cap=None):
     if existential not in ("full", "difference"):
         raise ParameterError(f"unknown existential scope {existential!r}")
     inside = ZERO if existential == "full" else None  # adding an element of X changes nothing
-    _guard(f.n, scope, max_elements)
+    x_sets = _scope_sets(f, scope, tie)
     size = 1 << f.n
     best = [None] * size  # best[Y] = best gain of a witness candidate in Y, or None
     needed = gamma
     checked = 0
-    for x_set in _scope_sets(f, scope, tie):
+    for x_set in x_sets:
         fx, gains = _singleton_gains(f, x_set, inside)
         bar = needed * fx
         for y_set in range(1, size):
@@ -158,10 +158,8 @@ def _least_alpha(f, gamma, scope, tie, existential, max_elements, cap=None):
     return needed, None, None, None, checked
 
 
-def _augmentability_audit(f, gamma, alpha, scope, tie, existential, max_elements):
-    _, x_set, y_set, best, checked = _least_alpha(
-        f, gamma, scope, tie, existential, max_elements, cap=alpha
-    )
+def _augmentability_audit(f, gamma, alpha, scope, tie, existential):
+    _, x_set, y_set, best, checked = _least_alpha(f, gamma, scope, tie, existential, cap=alpha)
     witness = None
     if x_set is not None:
         rhs = (gamma * f.value(x_set | y_set) - alpha * f.value(x_set)) / y_set.bit_count()
@@ -175,13 +173,10 @@ def check_alpha_augmentable(
     scope: str = "strong",
     tie: TiePolicy = "low",
     existential: str = "difference",
-    max_elements: int | None = None,
 ) -> AuditReport:
     """Audit alpha-augmentability (witness element from Y \\ X by default)."""
-    alpha = as_fraction(alpha)
-    if alpha < 1:
-        raise ParameterError(f"alpha-augmentability needs alpha >= 1, got {alpha}")
-    return _augmentability_audit(f, Fraction(1), alpha, scope, tie, existential, max_elements)
+    gamma, alpha = _parameters(1, alpha)
+    return _augmentability_audit(f, gamma, alpha, scope, tie, existential)
 
 
 def check_gamma_alpha_augmentable(
@@ -191,16 +186,10 @@ def check_gamma_alpha_augmentable(
     scope: str = "weak",
     tie: TiePolicy = "low",
     existential: str = "full",
-    max_elements: int | None = None,
 ) -> AuditReport:
     """Audit gamma-alpha-augmentability (witness element from all of Y by default)."""
-    gamma = as_fraction(gamma)
-    alpha = as_fraction(alpha)
-    if not 0 < gamma <= 1:
-        raise ParameterError(f"gamma must lie in (0,1], got {gamma}")
-    if alpha < gamma:
-        raise ParameterError(f"alpha must be >= gamma, got alpha={alpha}, gamma={gamma}")
-    return _augmentability_audit(f, gamma, alpha, scope, tie, existential, max_elements)
+    gamma, alpha = _parameters(gamma, alpha)
+    return _augmentability_audit(f, gamma, alpha, scope, tie, existential)
 
 
 @dataclass(frozen=True)
@@ -212,21 +201,19 @@ class RatioResult:
     tie: TiePolicy
 
 
-def weak_submodularity_ratio(
-    f: SetFunctionOracle, tie: TiePolicy = "low", max_elements: int | None = None
-) -> RatioResult:
+def weak_submodularity_ratio(f: SetFunctionOracle, tie: TiePolicy = "low") -> RatioResult:
     """Exact minimum of (sum of singleton gains)/(joint gain) over the greedy chain.
 
     X ranges over chain prefixes up to saturation, Y over subsets disjoint
     from X.  Pairs with zero joint gain count as 1 when the singleton sum is
     zero too and are excluded (treated as +inf) otherwise.
     """
-    _guard(f.n, "weak", max_elements)
+    x_sets = _scope_sets(f, "weak", tie)
     size = 1 << f.n
     sums: list[Fraction | None] = [None] * size
     best = RatioResult(Fraction(1), 0, 0, 0, tie)
     checked = 0
-    for x_set in _chain_prefixes(f, tie):
+    for x_set in x_sets:
         fx, gain = _singleton_gains(f, x_set)
         sums[0] = ZERO
         for y_set in range(1, size):
@@ -250,7 +237,6 @@ def min_alpha_for(
     scope: str = "weak",
     tie: TiePolicy = "low",
     existential: str = "full",
-    max_elements: int | None = None,
 ) -> Fraction | float:
     """Least alpha >= gamma making the gamma-alpha audit pass, or +inf.
 
@@ -259,10 +245,8 @@ def min_alpha_for(
     the audits; a pair with f(X) = 0 that the best gain leaves short makes
     every alpha fail.
     """
-    gamma = as_fraction(gamma)
-    if not 0 < gamma <= 1:
-        raise ParameterError(f"gamma must lie in (0,1], got {gamma}")
-    return _least_alpha(f, gamma, scope, tie, existential, max_elements)[0]
+    gamma, _ = _parameters(gamma)
+    return _least_alpha(f, gamma, scope, tie, existential)[0]
 
 
 @dataclass(frozen=True)
@@ -280,21 +264,21 @@ class BoundRecord:
 
 
 def certify_greedy_bound(
-    f: SetFunctionOracle, gamma, alpha, tie: TiePolicy = "low", max_elements: int = 24
+    f: SetFunctionOracle, gamma, alpha, tie: TiePolicy = "low"
 ) -> list[BoundRecord]:
     """Per-cardinality certificates of the class guarantee, with exact slack.
 
     For k up to the saturation cardinality the guarantee is
     (gamma/alpha) * (1 - (1 - alpha/k)**k) * optimum_k, afterwards the plain
     (gamma/alpha) * optimum_k.  Violations simply show up as negative slack;
-    whether f actually belongs to the audited class is the caller's business.
+    whether f actually belongs to the audited class is the caller's business,
+    but gamma must lie in (0,1] and alpha must be >= gamma.
     """
-    gamma = as_fraction(gamma)
-    alpha = as_fraction(alpha)
+    gamma, alpha = _parameters(gamma, alpha)
     n = f.n
+    profile = optimum_profile(f)  # first, so an oversize f is refused before any evaluation
     trace = greedy_adaptive(f, n, tie)
     sat = saturation_point(trace)
-    profile = optimum_profile(f, max_elements=max_elements)
     records = []
     for k in range(1, n + 1):
         opt = profile[k].best_value

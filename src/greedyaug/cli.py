@@ -108,11 +108,11 @@ def cmd_audit(args) -> int:
     bundle = _described(args)
     f = bundle.oracle
     params = _parse_params(args.params)
-    gamma = parse_rational(params.get("gamma", 1))
+    gamma = parse_rational(params.get("gamma", 1), "gamma")
     alphas = params.get("alphas", [1, 2])
     if not isinstance(alphas, list):
         raise SystemExit(f"--params alphas must be a JSON list, got {alphas!r}")
-    alphas = [parse_rational(a) for a in alphas]
+    alphas = [parse_rational(a, "alphas entry") for a in alphas]
     scope = args.scope
     tie = args.tie
     out: dict = {"oracle": f.name, "scope": scope, "tie": tie}

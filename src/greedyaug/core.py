@@ -15,6 +15,9 @@ The adaptive greedy solver performs exactly ``k`` picks, even when the best
 available gain is zero; the non-adaptive variant stops at the saturation
 cardinality, the first chain length at which no remaining element improves
 the value.
+
+Every exhaustive sweep passes its step count from n (2**n subsets for the
+optima here) to ``require_budget`` before its first oracle evaluation.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ TiePolicy = Union[str, Sequence[int]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MAX_STEPS = 1 << 24
 
 
 class InvalidCardinality(ValueError):
@@ -36,7 +40,7 @@ class InvalidCardinality(ValueError):
 
 
 class GroundSetTooLarge(ValueError):
-    """An exhaustive enumeration was refused by its size guard."""
+    """An exhaustive sweep would take more than ``MAX_STEPS`` steps."""
 
 
 class ParameterError(ValueError):
@@ -57,13 +61,17 @@ def require_int(value, name: str) -> int:
     return value
 
 
-def parse_rational(text) -> Fraction:
-    """Parse a "p/q" or "p" string; ints and Fractions pass through."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    return Fraction(str(text).strip())
+def require_budget(steps: int, what: str) -> None:
+    """Refuse a sweep of more than ``MAX_STEPS`` steps; ``what`` names it and its n."""
+    if steps > MAX_STEPS:
+        raise GroundSetTooLarge(f"{what}: {steps} steps exceed the budget of {MAX_STEPS}")
+
+
+def parse_rational(value, name: str = "value") -> Fraction:
+    """A "p/q" string, a JSON integer or a Fraction; bools and floats are refused."""
+    if isinstance(value, (str, Fraction)) or isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ParameterError(f'{name} must be a "p/q" string or a JSON integer, got {value!r}')
 
 
 def format_rational(value) -> str:
@@ -293,11 +301,10 @@ def _better(value, mask, best_value, best_mask):
     return value == best_value and indices_of(mask) < indices_of(best_mask)
 
 
-def optimum_profile(f: SetFunctionOracle, max_elements: int = 24) -> list[OptimumRecord]:
-    """Exact optima for every cardinality bound 0..n in one sweep."""
+def optimum_profile(f: SetFunctionOracle) -> list[OptimumRecord]:
+    """Exact optima for every cardinality bound 0..n in one sweep of 2**n subsets."""
     n = f.n
-    if n > max_elements:
-        raise GroundSetTooLarge(f"n={n} exceeds enumeration guard {max_elements}")
+    require_budget(1 << n, f"optimum sweep over n={n}")
     by_size: list[tuple[Fraction, int] | None] = [None] * (n + 1)
     for mask in range(1 << n):
         c = mask.bit_count()
@@ -314,21 +321,20 @@ def optimum_profile(f: SetFunctionOracle, max_elements: int = 24) -> list[Optimu
     return profile
 
 
-def brute_force_optimum(f: SetFunctionOracle, k: int, max_elements: int = 24) -> OptimumRecord:
+def brute_force_optimum(f: SetFunctionOracle, k: int) -> OptimumRecord:
     """Exact best subset of cardinality <= k, read off ``optimum_profile``.
 
     The sweep evaluates all 2**n subsets whatever k is.
     """
     if not 0 <= k <= f.n:
         raise InvalidCardinality(f"k={k} outside 0..{f.n}")
-    return optimum_profile(f, max_elements)[k]
+    return optimum_profile(f)[k]
 
 
 def optimum_value(
     f: SetFunctionOracle,
     k: int,
     upper_bound: Callable[[int], Fraction] | None = None,
-    max_elements: int = 24,
 ) -> Fraction:
     """Exact optimum value at cardinality <= k, optionally bound-pruned.
 
@@ -338,12 +344,11 @@ def optimum_value(
     Without a bound this is ``brute_force_optimum(f, k).best_value``.
     """
     if upper_bound is None:
-        return brute_force_optimum(f, k, max_elements).best_value
+        return brute_force_optimum(f, k).best_value
     n = f.n
     if not 0 <= k <= n:
         raise InvalidCardinality(f"k={k} outside 0..{n}")
-    if n > max_elements:
-        raise GroundSetTooLarge(f"n={n} exceeds enumeration guard {max_elements}")
+    require_budget(1 << n, f"optimum sweep over n={n}")
     candidates = [mask_of(c) for size in range(k + 1) for c in combinations(range(n), size)]
     bounds = {mask: upper_bound(mask) for mask in candidates}
     candidates.sort(key=lambda m: (bounds[m], m), reverse=True)
@@ -361,7 +366,6 @@ def approximation_ratio(
     f: SetFunctionOracle,
     tie: TiePolicy = "low",
     variant: str = "adaptive",
-    max_elements: int = 24,
 ) -> tuple[Fraction | float, int]:
     """Worst ratio optimum/greedy over all cardinalities 1..n.
 
@@ -373,9 +377,9 @@ def approximation_ratio(
     if variant not in ("adaptive", "nonadaptive"):
         raise ParameterError(f"unknown greedy variant {variant!r}")
     n = f.n
+    profile = optimum_profile(f)  # first, so an oversize f is refused before any evaluation
     trace = greedy_adaptive(f, n, tie)
     sat = saturation_point(trace)
-    profile = optimum_profile(f, max_elements=max_elements)
     best_ratio: Fraction | float | None = None
     witness = 1
     for k in range(1, n + 1):

@@ -316,7 +316,7 @@ def _rationals(d: dict, key: str) -> list[Fraction]:
     """A parameter that must be a JSON list of rationals."""
     if not isinstance(d[key], list):
         raise ParameterError(f"{key} must be a JSON list, got {d[key]!r}")
-    return [parse_rational(v) for v in d[key]]
+    return [parse_rational(v, f"{key} entry") for v in d[key]]
 
 
 # Builders call constructors by module-global name at call time, so a
@@ -324,19 +324,21 @@ def _rationals(d: dict, key: str) -> list[Fraction]:
 FAMILIES: dict[str, Family] = {
     "critical": Family(
         lambda d: DescribedInstance(make_critical_function(
-            parse_rational(d["gamma"]), parse_rational(d["alpha"]), _int(d, "k"),
+            parse_rational(d["gamma"], "gamma"), parse_rational(d["alpha"], "alpha"), _int(d, "k"),
             method=d.get("method", "closed"),
         )),
-        shape=lambda p: (parse_rational(p.get("gamma", 1)), parse_rational(p.get("alpha", 1))),
+        shape=lambda p: (
+            parse_rational(p.get("gamma", 1), "gamma"), parse_rational(p.get("alpha", 1), "alpha")
+        ),
         ratio=critical_ratio_closed_form,
         size=lambda alpha, k: 2 * k,
         measure_limit=12,
     ),
     "ratio_separator": Family(
-        lambda d: DescribedInstance(make_ratio_separator(parse_rational(d["gamma"])))
+        lambda d: DescribedInstance(make_ratio_separator(parse_rational(d["gamma"], "gamma")))
     ),
     "rank_separator": Family(lambda d: _system_described(*make_rank_separator(
-        parse_rational(d["q"]), parse_rational(d["alpha"]), _int(d, "m"), _int(d, "n")
+        parse_rational(d["q"], "q"), parse_rational(d["alpha"], "alpha"), _int(d, "m"), _int(d, "n")
     ))),
     "square": Family(lambda d: DescribedInstance(make_square_cardinality(_int(d, "n")))),
     "modular": Family(lambda d: DescribedInstance(make_modular(_rationals(d, "weights")))),
@@ -346,7 +348,7 @@ FAMILIES: dict[str, Family] = {
     "gk": _flow_family(
         lambda d: flows.make_lower_bound_instance(
             _int(d, "alpha"), _int(d, "k"),
-            parse_rational(d["epsilon"]) if "epsilon" in d else None,
+            parse_rational(d["epsilon"], "epsilon") if "epsilon" in d else None,
         ),
         shape=lambda p: (1, _int(p, "alpha", 1)),
         ratio=lambda gamma, alpha, k: flows.lower_bound_ratio_closed_form(alpha, k),

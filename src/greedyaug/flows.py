@@ -45,19 +45,23 @@ from .core import (
 )
 
 INF = math.inf
+MAX_LP_COLUMNS = 5000
 
 
 class LPSizeError(ValueError):
-    """The objective LP would exceed the variable-count guard."""
+    """The objective LP would have more than ``MAX_LP_COLUMNS`` columns."""
 
 
 def _parse_capacity(token):
-    """A JSON capacity: a "p/q" string, a JSON integer, or "inf"."""
+    """A JSON capacity: "inf", or a rational as ``parse_rational`` reads it."""
     if token == "inf":
         return INF
-    if isinstance(token, str) or (isinstance(token, int) and not isinstance(token, bool)):
-        return parse_rational(token)
-    raise ParameterError(f'capacity must be a "p/q" string, a JSON integer or "inf", got {token!r}')
+    try:
+        return parse_rational(token, "capacity")
+    except ParameterError:
+        raise ParameterError(
+            f'capacity must be a "p/q" string, a JSON integer or "inf", got {token!r}'
+        ) from None
 
 
 def _check_capacity(value):
@@ -182,6 +186,11 @@ class FlowInstance:
         caps = tuple(tuple(_parse_capacity(c) for c in row) for row in d["capacities"])
         if len(caps) != require_int(d.get("commodities", len(caps)), "commodities"):
             raise ParameterError("commodity count disagrees with capacity rows")
+        labels = d.get("labels")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(s, str) for s in labels)
+        ):
+            raise ParameterError(f"labels must be a JSON list of strings, got {labels!r}")
         return cls(
             num_vertices=require_int(d["vertices"], "vertices"),
             arcs=tuple(
@@ -191,7 +200,7 @@ class FlowInstance:
             source=require_int(d["source"], "source"),
             sinks=tuple(require_int(t, "sink") for t in d["sinks"]),
             capacities=caps,
-            labels=tuple(d["labels"]) if d.get("labels") else None,
+            labels=tuple(labels) if labels else None,
             name=d.get("name", "flow"),
         )
 
@@ -200,12 +209,12 @@ class FlowInstance:
         return cls.from_json_dict(json.loads(text))
 
 
-def evaluate_objective(inst: FlowInstance, sink_mask: int, var_guard: int = 5000) -> Fraction:
+def evaluate_objective(inst: FlowInstance, sink_mask: int) -> Fraction:
     """Exact value of selecting the sinks in ``sink_mask`` (bitmask over sink order).
 
     Solves the instance's one ``lp_model`` with objective 1 on the demand
-    columns of the chosen sinks and 0 elsewhere.  ``var_guard`` bounds the
-    column count as (arcs x commodities) + a demand column for every sink,
+    columns of the chosen sinks and 0 elsewhere.  ``MAX_LP_COLUMNS`` bounds
+    the column count as (arcs x commodities) + a demand column for every sink,
     chosen or not.
     """
     chosen = indices_of(sink_mask)
@@ -214,8 +223,8 @@ def evaluate_objective(inst: FlowInstance, sink_mask: int, var_guard: int = 5000
     if not chosen:
         return Fraction(0)
     columns = len(inst.arcs) * inst.commodities + len(inst.sinks)
-    if columns > var_guard:
-        raise LPSizeError(f"{columns} variables exceed guard {var_guard}")
+    if columns > MAX_LP_COLUMNS:
+        raise LPSizeError(f"{columns} variables exceed guard {MAX_LP_COLUMNS}")
     rows, rhs, first_demand = inst.lp_model
     objective = [exactlp.ZERO] * first_demand + [
         exactlp.ONE if sink_mask >> j & 1 else exactlp.ZERO for j in range(len(inst.sinks))
@@ -230,10 +239,10 @@ def evaluate_objective(inst: FlowInstance, sink_mask: int, var_guard: int = 5000
     return solution.value
 
 
-def objective_oracle(inst: FlowInstance, var_guard: int = 5000) -> SetFunctionOracle:
+def objective_oracle(inst: FlowInstance) -> SetFunctionOracle:
     """Wrap the LP evaluation as a cached oracle over the sink ground set."""
     return SetFunctionOracle(
-        inst.sink_ground(), lambda mask: evaluate_objective(inst, mask, var_guard), name=inst.name
+        inst.sink_ground(), lambda mask: evaluate_objective(inst, mask), name=inst.name
     )
 
 

@@ -16,12 +16,12 @@ from typing import Callable, Sequence
 
 from .core import (
     GroundSet,
-    GroundSetTooLarge,
     SetFunctionOracle,
     TiePolicy,
     as_fraction,
     greedy_adaptive,
     indices_of,
+    require_budget,
     saturation_point,
 )
 
@@ -147,10 +147,9 @@ def random_downward_closed_system(
     return downward_closure_system(n, generators, weights, name=f"random(n={n})")
 
 
-def weighted_rank_oracle(sys: IndependenceSystem, max_elements: int = 16) -> SetFunctionOracle:
+def weighted_rank_oracle(sys: IndependenceSystem) -> SetFunctionOracle:
     """Oracle for max weight of an independent subset of X (exhaustive, exact)."""
-    if sys.n > max_elements:
-        raise GroundSetTooLarge(f"n={sys.n} exceeds rank-oracle guard {max_elements}")
+    require_budget(sys.n << sys.n, f"rank oracle over n={sys.n}")  # the cost of validate
     sys.validate()
     memo: dict[int, Fraction] = {0: Fraction(0)}
 
@@ -184,11 +183,10 @@ class RankQuotientResult:
     checked_sets: int
 
 
-def rank_quotient(sys: IndependenceSystem, max_elements: int = 16) -> RankQuotientResult:
+def rank_quotient(sys: IndependenceSystem) -> RankQuotientResult:
     """Exact min over X of (smallest basis of X) / (largest basis of X), 0/0 := 1."""
     n = sys.n
-    if n > max_elements:
-        raise GroundSetTooLarge(f"n={n} exceeds rank-quotient guard {max_elements}")
+    require_budget(n * 3**n, f"rank quotient over n={n}")  # the bases of every subset
     sys.validate()
     best = RankQuotientResult(Fraction(1), 0, 0, 0, 0)
     checked = 0
@@ -235,10 +233,8 @@ class ExchangeReport:
     tie: TiePolicy
 
 
-def check_exchange_equivalences(
-    sys: IndependenceSystem, tie: TiePolicy = "low", max_elements: int = 16
-) -> ExchangeReport:
-    f = weighted_rank_oracle(sys, max_elements=max_elements)
+def check_exchange_equivalences(sys: IndependenceSystem, tie: TiePolicy = "low") -> ExchangeReport:
+    f = weighted_rank_oracle(sys)
     trace = greedy_adaptive(f, f.n, tie)
     sat = saturation_point(trace)
     violations = []

@@ -1,6 +1,6 @@
 """One-shot verification matrix over the built-in families and instances.
 
-Each check reproduces a known exact result with default, in-guard parameters
+Each check reproduces a known exact result with default, in-budget parameters
 and reports pass/fail with a short witness on failure.  The CLI's ``verify``
 command runs the registry; individual check functions are importable so a
 deliberately corrupted oracle can be pushed through them (fault injection).

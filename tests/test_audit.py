@@ -48,14 +48,9 @@ class TestWeakRatio:
         assert labels == ["t1", "t3"]
 
     def test_guard(self):
-        f = ga.make_modular([1] * 5)
+        f = ga.make_modular([1] * 20)
         with pytest.raises(ga.GroundSetTooLarge):
-            ga.weak_submodularity_ratio(f, max_elements=4)
-
-    def test_guard_override_warns(self):
-        f = ga.make_modular([1, 1])
-        with pytest.warns(UserWarning, match="size guard"):
-            ga.weak_submodularity_ratio(f, max_elements=25)
+            ga.weak_submodularity_ratio(f)
 
 
 class TestAlphaAugmentable:
@@ -178,6 +173,11 @@ class TestMinAlpha:
 
 
 class TestCertifiedBound:
+    @pytest.mark.parametrize("gamma, alpha", [(1, 0), (2, 2), (0, 1), (1, HALF)])
+    def test_parameter_domain(self, gamma, alpha):
+        with pytest.raises(ga.ParameterError):
+            ga.certify_greedy_bound(ga.make_modular([1, 2]), gamma, alpha)
+
     def test_critical_equality_at_k(self, f112):
         records = ga.certify_greedy_bound(f112, 1, 1)
         by_k = {r.k: r for r in records}

@@ -258,6 +258,27 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
                      id="float-capacity"),
         pytest.param(["trace"], {**THREE_VERTEX_JSON, "sinks": [0, 2.0]},
                      "sink must be a JSON integer, got 2.0", id="float-sink"),
+        pytest.param(["trace"], {**THREE_VERTEX_JSON, "labels": "abc"},
+                     "labels must be a JSON list of strings, got 'abc'", id="labels-string"),
+        pytest.param(["trace"], {**THREE_VERTEX_JSON, "labels": [1, 2, 3]},
+                     "labels must be a JSON list of strings, got [1, 2, 3]", id="labels-ints"),
+        pytest.param(["trace", "--family", "critical", "--params",
+                      '{"gamma": true, "alpha": "1", "k": 2}'], None,
+                     'gamma must be a "p/q" string or a JSON integer, got True', id="bool-gamma"),
+        pytest.param(["trace", "--family", "critical", "--params",
+                      '{"gamma": "1", "alpha": 1.0, "k": 2}'], None,
+                     'alpha must be a "p/q" string or a JSON integer, got 1.0',
+                     id="float-alpha-rational"),
+        pytest.param(["trace", "--family", "modular", "--params", '{"weights": [0.1, "1/3"]}'],
+                     None, 'weights entry must be a "p/q" string or a JSON integer, got 0.1',
+                     id="float-weight"),
+        pytest.param(["trace", "--family", "modular", "--params", '{"weights": ["1", true]}'],
+                     None, 'weights entry must be a "p/q" string or a JSON integer, got True',
+                     id="bool-weight"),
+        pytest.param(["audit", "--family", "modular", "--params",
+                      '{"weights": ["1"], "alphas": [1.5]}'], None,
+                     'alphas entry must be a "p/q" string or a JSON integer, got 1.5',
+                     id="float-alphas-entry"),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, argv, instance, fragment):

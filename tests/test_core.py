@@ -87,9 +87,80 @@ def test_brute_force_lexicographic_ties():
 
 
 def test_brute_force_guard():
-    f = ga.make_modular([1] * 6)
+    f = ga.make_modular([1] * 25)
     with pytest.raises(ga.GroundSetTooLarge):
-        ga.brute_force_optimum(f, 2, max_elements=5)
+        ga.brute_force_optimum(f, 2)
+
+
+def _counting_oracle(n, calls):
+    def evaluate(mask):
+        calls.append(mask)
+        return F(mask.bit_count())
+
+    return ga.SetFunctionOracle(ga.GroundSet(n), evaluate)
+
+
+def _counting_system(n, calls):
+    def independent(mask):
+        calls.append(mask)
+        return True
+
+    system = ga.IndependenceSystem(ga.GroundSet(n), independent, [1] * n)
+    calls.clear()  # the constructor asks about the empty set
+    return system
+
+
+# (sweep, its step count at n, the first n whose count exceeds core.MAX_STEPS)
+SWEEPS = [
+    pytest.param(ga.optimum_profile, lambda n: 2**n, 25, id="optimum_profile"),
+    pytest.param(lambda f: ga.brute_force_optimum(f, 1), lambda n: 2**n, 25,
+                 id="brute_force_optimum"),
+    pytest.param(lambda f: ga.optimum_value(f, 1), lambda n: 2**n, 25, id="optimum_value"),
+    pytest.param(lambda f: ga.optimum_value(f, 1, upper_bound=lambda m: F(m.bit_count())),
+                 lambda n: 2**n, 25, id="optimum_value-bounded"),
+    pytest.param(ga.approximation_ratio, lambda n: 2**n, 25, id="approximation_ratio"),
+    pytest.param(lambda f: ga.certify_greedy_bound(f, 1, 1), lambda n: 2**n, 25,
+                 id="certify_greedy_bound"),
+    pytest.param(lambda f: ga.check_alpha_augmentable(f, 1), lambda n: 4**n, 13,
+                 id="alpha-strong"),
+    pytest.param(lambda f: ga.check_gamma_alpha_augmentable(f, 1, 1, scope="strong"),
+                 lambda n: 4**n, 13, id="gamma-alpha-strong"),
+    pytest.param(lambda f: ga.min_alpha_for(f, 1, scope="strong"), lambda n: 4**n, 13,
+                 id="min-alpha-strong"),
+    pytest.param(lambda f: ga.check_alpha_augmentable(f, 1, scope="weak"),
+                 lambda n: (n + 1) * 2**n, 20, id="alpha-weak"),
+    pytest.param(lambda f: ga.check_gamma_alpha_augmentable(f, 1, 1), lambda n: (n + 1) * 2**n,
+                 20, id="gamma-alpha-weak"),
+    pytest.param(lambda f: ga.min_alpha_for(f, 1), lambda n: (n + 1) * 2**n, 20,
+                 id="min-alpha-weak"),
+    pytest.param(ga.weak_submodularity_ratio, lambda n: (n + 1) * 2**n, 20,
+                 id="weak_submodularity_ratio"),
+    pytest.param(ga.weighted_rank_oracle, lambda n: n * 2**n, 20, id="weighted_rank_oracle"),
+    pytest.param(ga.check_exchange_equivalences, lambda n: n * 2**n, 20,
+                 id="check_exchange_equivalences"),
+    pytest.param(ga.rank_quotient, lambda n: n * 3**n, 13, id="rank_quotient"),
+]
+SYSTEM_SWEEPS = {ga.weighted_rank_oracle, ga.check_exchange_equivalences, ga.rank_quotient}
+
+
+@pytest.mark.parametrize("sweep, steps, n", SWEEPS)
+def test_sweep_refused_past_budget_before_evaluating(sweep, steps, n):
+    assert steps(n - 1) <= ga.core.MAX_STEPS < steps(n)
+    calls = []
+    build = _counting_system if sweep in SYSTEM_SWEEPS else _counting_oracle
+    with pytest.raises(ga.GroundSetTooLarge) as excinfo:
+        sweep(build(n, calls))
+    assert calls == []
+    assert f"n={n}: {steps(n)} steps exceed the budget of {ga.core.MAX_STEPS}" in str(
+        excinfo.value
+    )
+
+
+def test_unknown_scope_refused_before_budget():
+    calls = []
+    with pytest.raises(ga.ParameterError, match="unknown scope"):
+        ga.check_alpha_augmentable(_counting_oracle(13, calls), 1, scope="bogus")
+    assert calls == []
 
 
 def test_optimum_profile_matches_brute(f112):
@@ -145,6 +216,9 @@ def test_format_parse_rationals():
     assert ga.format_rational(math.inf) == "inf"
     assert ga.parse_rational("3/2") == F(3, 2)
     assert ga.parse_rational(7) == F(7)
+    for refused in (True, 0.1):
+        with pytest.raises(ga.ParameterError, match="JSON integer"):
+            ga.parse_rational(refused)
 
 
 def test_oracle_rejects_negative_values():

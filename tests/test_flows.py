@@ -174,10 +174,13 @@ class TestObjectiveEvaluation:
                 bound = min(ga.max_flow(inst, i, mask) for i in range(inst.commodities))
                 assert oracle.value(mask) <= bound
 
-    def test_size_guard(self, two_sink2):
-        inst, _ = two_sink2
+    def test_size_guard(self):
+        # One arc carrying 5000 commodities, plus one demand column: 5001 columns.
+        inst = ga.FlowInstance(
+            num_vertices=2, arcs=((0, 1),), source=0, sinks=(1,), capacities=((1,),) * 5000
+        )
         with pytest.raises(ga.LPSizeError):
-            ga.evaluate_objective(inst, 0b11, var_guard=3)
+            ga.evaluate_objective(inst, 0b1)
 
     def test_unbounded_detected(self):
         inst = ga.FlowInstance(

@@ -44,7 +44,7 @@ class TestSystems:
     def test_validate_is_exhaustive_above_sixteen_elements(self):
         bad = ga.IndependenceSystem(ga.GroundSet(17), lambda mask: mask != 0b1, [1] * 17)
         with pytest.raises(ga.MalformedSystem):
-            ga.weighted_rank_oracle(bad, max_elements=17)
+            ga.weighted_rank_oracle(bad)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ga.MalformedSystem):
@@ -52,7 +52,7 @@ class TestSystems:
 
     def test_rank_oracle_guard(self):
         with pytest.raises(ga.GroundSetTooLarge):
-            ga.weighted_rank_oracle(ga.free_system([1] * 17))
+            ga.weighted_rank_oracle(ga.free_system([1] * 20))
 
 
 class TestRankQuotient:
