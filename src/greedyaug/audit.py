@@ -12,18 +12,22 @@ with exact rational arithmetic:
   gamma*f(X+Y) - alpha*f(X), and the witness element drawn from all of Y.
 
 The two augmentability definitions deliberately differ in where the witness
-element may come from; ``existential`` exposes that choice so either
-convention can be forced in cross-experiments.  "weak" scope restricts X to
-the greedy chain under the configured tie policy (the weak classes are
-tie-policy-dependent, so reports record the policy); "strong" scope ranges
-over every subset.
+element may come from; ``existential`` exposes that choice.  For monotone f
+it cannot change a result: the elements of Y inside X add gain 0, and every
+gain is >= 0.  "weak" scope restricts X to the greedy chain under the
+configured tie policy (the weak classes are tie-policy-dependent, so reports
+record the policy); "strong" scope ranges over every subset.
 
 Both augmentability audits and ``min_alpha_for`` read one scan: pair (X, Y)
 needs alpha >= (gamma*f(X+Y) - |Y|*best_gain) / f(X), ``min_alpha_for`` is the
-largest need, and an audit at alpha fails at the first pair needing more.
+largest need, and an audit at alpha fails at the first pair needing more.  The
+scan refuses non-monotone f with a ``ParameterError``, because it visits only
+the pairs with Y disjoint from X (see ``_least_alpha``).
 
-Before evaluating f, every audit passes its pair count to ``require_budget``:
-4**n for strong scope, (n+1)*2**n for weak scope (at most n+1 chain prefixes).
+Before evaluating f, every audit passes its step count to ``require_budget``:
+n*2**n for the monotonicity check, plus 3**n disjoint pairs for strong scope
+or at most 2**(n+1) over the greedy chain for weak scope; the weak ratio
+counts (n+1)*2**n.
 """
 
 from __future__ import annotations
@@ -103,23 +107,36 @@ def _parameters(gamma, alpha=None) -> tuple[Fraction, Fraction]:
     return gamma, alpha
 
 
-def _scope_sets(f: SetFunctionOracle, scope: str, tie: TiePolicy) -> list[int]:
-    """The in-scope X sets, once the scope's pair count is within budget."""
+def _scope_sets(f: SetFunctionOracle, scope: str, tie: TiePolicy, steps: int):
+    """The in-scope X sets, once the sweep's ``steps`` are within budget."""
     n = f.n
     if scope not in ("weak", "strong"):
         raise ParameterError(f"unknown scope {scope!r}")
-    require_budget((n + 1) << n if scope == "weak" else 4**n, f"{scope}-scope audit over n={n}")
+    require_budget(steps, f"{scope}-scope audit over n={n}")
     if scope == "strong":
-        return list(range(1 << n))
+        return range(1 << n)
     trace = greedy_adaptive(f, n, tie)
-    return list(trace.chain[: saturation_point(trace) + 1])
+    return trace.chain[: saturation_point(trace) + 1]
 
 
-def _singleton_gains(f, x_set, inside=None):
-    """f(X) and the gain of each element at X; elements of X get ``inside``."""
-    fx = f.value(x_set)
-    gains = [inside if x_set >> y & 1 else f.value(x_set | (1 << y)) - fx for y in range(f.n)]
-    return fx, gains
+def _monotone_table(f) -> tuple[list[int], int]:
+    """f's value table scaled to ints by the LCM of its denominators, and that LCM.
+
+    Non-monotone f is refused with a set X and an element e that lowers f(X).
+    """
+    values = f.table()
+    scale = math.lcm(*(v.denominator for v in values))
+    table = [v.numerator * (scale // v.denominator) for v in values]
+    for e in range(f.n):
+        bit = 1 << e
+        lower = (x for x in range(len(table)) if not x & bit and table[x | bit] < table[x])
+        x_set = next(lower, None)
+        if x_set is not None:
+            raise ParameterError(
+                f"{f.name} is not monotone: adding element {e} to X={list(indices_of(x_set))} "
+                f"lowers its value; the augmentability audits need monotone f"
+            )
+    return table, scale
 
 
 def _least_alpha(f, gamma, scope, tie, existential, cap=None):
@@ -127,35 +144,62 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=None):
     in-scope pairs (X, Y), Y not inside X, in mask order.  X and Y name the pair
     that stopped the scan, by needing more than ``cap`` or, with f(X) = 0, any
     finite alpha (then alpha = inf); they are None when the scan completes.
+
+    Pair (X, Y) needs alpha >= (gamma*f(X+Y) - |Y|*best) / f(X), where best is
+    the largest gain f(X+y) - f(X) of a witness candidate y.  Only the pairs
+    with Y disjoint from X are visited, which decides every pair because f is
+    monotone (checked first): if (X, Y) needs more than some alpha, so does
+    (X, Y \\ X).  f(X + Y) is the same; the candidates outside X are the same
+    and those inside X (``existential="full"``) add gain 0, so with every gain
+    >= 0 the best gain is the same under both conventions; and |Y \\ X| <= |Y|.
+    Y \\ X is also the smaller mask, so the first pair needing more than any
+    bar is disjoint and the largest need is reached on a disjoint pair: the
+    verdict, the witness and the least alpha are those of the scan over all
+    pairs.  ``checked`` counts the pairs that scan would examine: 2**n - 2**|X|
+    for each finished X, and at the stopping (X, Y) the Y' <= Y not inside X.
+
+    The scan runs on the int table of ``_monotone_table``: with gamma = p/q and
+    the running least alpha a/b, the pair needs more when
+    b*(p*T - q*|Y|*G) > a*q*F, for the scaled values T = f(X+Y), F = f(X) and
+    best gain G.  Y runs over the nonempty submasks of the complement of X in
+    increasing order, so best[Y] extends best[Y minus its lowest element].
     """
     if existential not in ("full", "difference"):
         raise ParameterError(f"unknown existential scope {existential!r}")
-    inside = ZERO if existential == "full" else None  # adding an element of X changes nothing
-    x_sets = _scope_sets(f, scope, tie)
-    size = 1 << f.n
-    best = [None] * size  # best[Y] = best gain of a witness candidate in Y, or None
-    needed = gamma
+    n = f.n
+    steps = 3**n + (n << n) if scope == "strong" else (n + 2) << n
+    x_sets = _scope_sets(f, scope, tie, steps)
+    table, scale = _monotone_table(f)
+    full = (1 << n) - 1
+    sizes = [y_set.bit_count() for y_set in range(1 << n)]
+    best = [0] * (1 << n)  # best[Y] = best gain at X of an element of Y, scaled
+    p, q = gamma.numerator, gamma.denominator
+    a, b = p, q  # the least alpha so far, a/b
     checked = 0
     for x_set in x_sets:
-        fx, gains = _singleton_gains(f, x_set, inside)
-        bar = needed * fx
-        for y_set in range(1, size):
+        comp, fx = full ^ x_set, table[x_set]
+        gains = {1 << e: table[x_set | 1 << e] - fx for e in range(n) if comp >> e & 1}
+        pb, qb, bar = p * b, q * b, a * q * fx
+        y_set = 0
+        while y_set := (y_set - comp) & comp:
             low = y_set & -y_set
-            g, prev = gains[low.bit_length() - 1], best[y_set ^ low]
-            if prev is not None and (g is None or prev >= g):
+            g, prev = gains[low], best[y_set ^ low]
+            if prev > g:
                 g = prev
             best[y_set] = g
-            if y_set & ~x_set == 0:
-                continue  # Y inside X is vacuous
-            checked += 1
-            shortfall = gamma * f.value(x_set | y_set) - g * y_set.bit_count()
-            if shortfall > bar:
-                if fx == 0:
-                    return math.inf, x_set, y_set, g, checked
-                needed, bar = shortfall / fx, shortfall
-                if cap is not None and needed > cap:
-                    return needed, x_set, y_set, g, checked
-    return needed, None, None, None, checked
+            if pb * table[x_set | y_set] - qb * g * sizes[y_set] <= bar:
+                continue
+            top = 1 << y_set.bit_length() - 1  # Y' <= Y inside X: the subsets of X below top
+            stop = (x_set, y_set, Fraction(g, scale),
+                    checked + y_set - (1 << sizes[x_set & top - 1]) + 1)
+            if fx == 0:
+                return (math.inf, *stop)
+            a, b = p * table[x_set | y_set] - q * g * sizes[y_set], q * fx
+            pb, qb, bar = p * b, q * b, a * q * fx
+            if cap is not None and Fraction(a, b) > cap:
+                return (Fraction(a, b), *stop)
+        checked += (1 << n) - (1 << sizes[x_set])
+    return Fraction(a, b), None, None, None, checked
 
 
 def _augmentability_audit(f, gamma, alpha, scope, tie, existential):
@@ -208,13 +252,15 @@ def weak_submodularity_ratio(f: SetFunctionOracle, tie: TiePolicy = "low") -> Ra
     from X.  Pairs with zero joint gain count as 1 when the singleton sum is
     zero too and are excluded (treated as +inf) otherwise.
     """
-    x_sets = _scope_sets(f, "weak", tie)
-    size = 1 << f.n
+    n = f.n
+    x_sets = _scope_sets(f, "weak", tie, (n + 1) << n)
+    size = 1 << n
     sums: list[Fraction | None] = [None] * size
     best = RatioResult(Fraction(1), 0, 0, 0, tie)
     checked = 0
     for x_set in x_sets:
-        fx, gain = _singleton_gains(f, x_set)
+        fx = f.value(x_set)
+        gain = [f.value(x_set | (1 << y)) - fx for y in range(n)]
         sums[0] = ZERO
         for y_set in range(1, size):
             if y_set & x_set:

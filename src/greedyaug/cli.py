@@ -167,15 +167,23 @@ def cmd_audit(args) -> int:
 
 
 def _ratio_rows(entry, params, ks, tie, max_measure):
+    """``ratio-table`` rows; "converging" is decided on Fractions, not floats.
+
+    Both closed forms lie strictly below their limit (alpha/gamma)/(1 - e**-alpha),
+    with gamma = 1 for gk: critical is (alpha/gamma)/(1 - (1 - alpha/k)**k) with
+    k > alpha, gk is alpha/(1 - (1 - 1/k)**(alpha*k)) with k >= 2, and
+    0 < 1 - t < e**-t for 0 < t < 1 gives (1 - alpha/k)**k < e**-alpha and
+    (1 - 1/k)**(alpha*k) < e**-alpha.  So the gap to the limit shrinks from one
+    k to the next exactly when the closed form grows.
+    """
     gamma, alpha = entry.shape(params)
     limit = limit_ratio(gamma, alpha)
     rows = []
-    previous_gap = None
+    previous = None
     for k in ks:
         closed = entry.ratio(gamma, alpha, k)
-        gap = abs(float(closed) - limit)
-        converging = "" if previous_gap is None else ("yes" if gap < previous_gap else "no")
-        previous_gap = gap
+        converging = "" if previous is None else ("yes" if closed > previous else "no")
+        previous = closed
         measured = ""
         note = ""
         if entry.size(alpha, k) <= max_measure:

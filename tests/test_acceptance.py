@@ -77,7 +77,7 @@ def test_criterion_3_class_membership_matrix():
 
     # unit-gamma instances survive the strong audit
     for alpha in (1, 2):
-        for k in (2, 3, 4):
+        for k in (2, 3, 4, 5):
             if k <= alpha:
                 continue
             f = ga.make_critical_function(1, alpha, k)
@@ -88,7 +88,7 @@ def test_criterion_3_class_membership_matrix():
             assert rep.member, (alpha, k)
 
     # half-gamma instances fail the strong audit at every tested alpha
-    for alpha, k in ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4)):
+    for alpha, k in ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5)):
         f = ga.make_critical_function(HALF, alpha, k)
         for alpha_probe in (F(1), F(3, 2), F(2), F(4)):
             rep = timed(

@@ -172,6 +172,37 @@ class TestMinAlpha:
             ga.min_alpha_for(ga.make_modular([3, 1, 2]), 1, existential="bogus")
 
 
+def _non_monotone():
+    """f(0) = 0, f({0}) = f({1}) = 2, f({0,1}) = 1: adding 0 to {1} lowers f."""
+    values = [F(0), F(2), F(2), F(1)]
+    return ga.SetFunctionOracle(ga.GroundSet(2), values.__getitem__, name="dip")
+
+
+NON_MONOTONE_AUDITS = [
+    pytest.param(lambda f: ga.check_alpha_augmentable(f, 1), id="alpha-strong"),
+    pytest.param(lambda f: ga.check_alpha_augmentable(f, 1, scope="weak"), id="alpha-weak"),
+    pytest.param(lambda f: ga.check_gamma_alpha_augmentable(f, HALF, 1), id="gamma-alpha-weak"),
+    pytest.param(lambda f: ga.check_gamma_alpha_augmentable(f, HALF, 1, scope="strong"),
+                 id="gamma-alpha-strong"),
+    pytest.param(lambda f: ga.min_alpha_for(f, 1), id="min-alpha-weak"),
+    pytest.param(lambda f: ga.min_alpha_for(f, 1, scope="strong"), id="min-alpha-strong"),
+]
+
+
+class TestMonotonicityPrecondition:
+    @pytest.mark.parametrize("audit", NON_MONOTONE_AUDITS)
+    def test_non_monotone_refused_with_witness(self, audit):
+        with pytest.raises(ga.ParameterError, match=r"adding element 0 to X=\[1\] lowers"):
+            audit(_non_monotone())
+
+    def test_parameters_checked_before_monotonicity(self):
+        f = _non_monotone()
+        with pytest.raises(ga.ParameterError, match="existential"):
+            ga.min_alpha_for(f, 1, existential="bogus")
+        with pytest.raises(ga.ParameterError, match="unknown scope"):
+            ga.check_alpha_augmentable(f, 1, scope="bogus")
+
+
 class TestCertifiedBound:
     @pytest.mark.parametrize("gamma, alpha", [(1, 0), (2, 2), (0, 1), (1, HALF)])
     def test_parameter_domain(self, gamma, alpha):

@@ -121,17 +121,17 @@ SWEEPS = [
     pytest.param(ga.approximation_ratio, lambda n: 2**n, 25, id="approximation_ratio"),
     pytest.param(lambda f: ga.certify_greedy_bound(f, 1, 1), lambda n: 2**n, 25,
                  id="certify_greedy_bound"),
-    pytest.param(lambda f: ga.check_alpha_augmentable(f, 1), lambda n: 4**n, 13,
+    pytest.param(lambda f: ga.check_alpha_augmentable(f, 1), lambda n: 3**n + n * 2**n, 16,
                  id="alpha-strong"),
     pytest.param(lambda f: ga.check_gamma_alpha_augmentable(f, 1, 1, scope="strong"),
-                 lambda n: 4**n, 13, id="gamma-alpha-strong"),
-    pytest.param(lambda f: ga.min_alpha_for(f, 1, scope="strong"), lambda n: 4**n, 13,
-                 id="min-alpha-strong"),
+                 lambda n: 3**n + n * 2**n, 16, id="gamma-alpha-strong"),
+    pytest.param(lambda f: ga.min_alpha_for(f, 1, scope="strong"),
+                 lambda n: 3**n + n * 2**n, 16, id="min-alpha-strong"),
     pytest.param(lambda f: ga.check_alpha_augmentable(f, 1, scope="weak"),
-                 lambda n: (n + 1) * 2**n, 20, id="alpha-weak"),
-    pytest.param(lambda f: ga.check_gamma_alpha_augmentable(f, 1, 1), lambda n: (n + 1) * 2**n,
+                 lambda n: (n + 2) * 2**n, 20, id="alpha-weak"),
+    pytest.param(lambda f: ga.check_gamma_alpha_augmentable(f, 1, 1), lambda n: (n + 2) * 2**n,
                  20, id="gamma-alpha-weak"),
-    pytest.param(lambda f: ga.min_alpha_for(f, 1), lambda n: (n + 1) * 2**n, 20,
+    pytest.param(lambda f: ga.min_alpha_for(f, 1), lambda n: (n + 2) * 2**n, 20,
                  id="min-alpha-weak"),
     pytest.param(ga.weak_submodularity_ratio, lambda n: (n + 1) * 2**n, 20,
                  id="weak_submodularity_ratio"),

@@ -155,3 +155,15 @@ class TestDescriptors:
     def test_unknown_family(self):
         with pytest.raises(ga.ParameterError):
             ga.oracle_from_descriptor({"family": "mystery"})
+
+
+@pytest.mark.parametrize("alpha", [F(4, 3), F(3, 2), F(5, 2)], ids=str)
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_critical_tight_at_non_integer_alpha(alpha, k):
+    """critical(1, alpha, k) needs exactly alpha, passes the strong audit at
+    alpha, and greedy meets the closed-form ratio, for alpha off the integers."""
+    f = ga.make_critical_function(1, alpha, k)
+    assert ga.min_alpha_for(f, 1, scope="strong") == alpha
+    assert ga.check_alpha_augmentable(f, alpha).verdict == "member"
+    ratio, _ = ga.approximation_ratio(f)
+    assert ratio == ga.critical_ratio_closed_form(1, alpha, k)
