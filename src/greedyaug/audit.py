@@ -20,14 +20,16 @@ record the policy); "strong" scope ranges over every subset.
 
 Both augmentability audits and ``min_alpha_for`` read one scan: pair (X, Y)
 needs alpha >= (gamma*f(X+Y) - |Y|*best_gain) / f(X), ``min_alpha_for`` is the
-largest need, and an audit at alpha fails at the first pair needing more.  The
-scan refuses non-monotone f with a ``ParameterError``, because it visits only
-the pairs with Y disjoint from X (see ``_least_alpha``).
+largest need, and an audit at alpha fails at the first pair needing more.
+That scan and the weak ratio read one int value table from one preamble,
+``_audit_table``, which refuses non-monotone f with a ``ParameterError``: the
+weak ratio is defined for monotone f only, and both visit only the pairs with
+Y disjoint from X (see ``_least_alpha``).
 
-Before evaluating f, every audit passes its step count to ``require_budget``:
+Before evaluating f, the preamble passes the step count to ``require_budget``:
 n*2**n for the monotonicity check, plus 3**n disjoint pairs for strong scope
-or at most 2**(n+1) over the greedy chain for weak scope; the weak ratio
-counts (n+1)*2**n.
+or at most 2**(n+1) over the greedy chain for weak scope, the weak ratio
+included.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .core import (
     ParameterError,
     SetFunctionOracle,
     TiePolicy,
-    ZERO,
     as_fraction,
     format_rational,
     greedy_adaptive,
@@ -107,36 +108,35 @@ def _parameters(gamma, alpha=None) -> tuple[Fraction, Fraction]:
     return gamma, alpha
 
 
-def _scope_sets(f: SetFunctionOracle, scope: str, tie: TiePolicy, steps: int):
-    """The in-scope X sets, once the sweep's ``steps`` are within budget."""
-    n = f.n
-    if scope not in ("weak", "strong"):
-        raise ParameterError(f"unknown scope {scope!r}")
-    require_budget(steps, f"{scope}-scope audit over n={n}")
-    if scope == "strong":
-        return range(1 << n)
-    trace = greedy_adaptive(f, n, tie)
-    return trace.chain[: saturation_point(trace) + 1]
-
-
-def _monotone_table(f) -> tuple[list[int], int]:
-    """f's value table scaled to ints by the LCM of its denominators, and that LCM.
+def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
+    """(in-scope X sets, f's value table scaled to ints by the LCM of its
+    denominators, that LCM), once the sweep's steps are within budget.
 
     Non-monotone f is refused with a set X and an element e that lowers f(X).
     """
+    n = f.n
+    if scope not in ("weak", "strong"):
+        raise ParameterError(f"unknown scope {scope!r}")
+    steps = 3**n + (n << n) if scope == "strong" else (n + 2) << n
+    require_budget(steps, f"{scope}-scope audit over n={n}")
+    if scope == "strong":
+        x_sets = range(1 << n)
+    else:
+        trace = greedy_adaptive(f, n, tie)
+        x_sets = trace.chain[: saturation_point(trace) + 1]
     values = f.table()
     scale = math.lcm(*(v.denominator for v in values))
     table = [v.numerator * (scale // v.denominator) for v in values]
-    for e in range(f.n):
+    for e in range(n):
         bit = 1 << e
         lower = (x for x in range(len(table)) if not x & bit and table[x | bit] < table[x])
         x_set = next(lower, None)
         if x_set is not None:
             raise ParameterError(
                 f"{f.name} is not monotone: adding element {e} to X={list(indices_of(x_set))} "
-                f"lowers its value; the augmentability audits need monotone f"
+                f"lowers its value; the audits need monotone f"
             )
-    return table, scale
+    return x_sets, table, scale
 
 
 def _least_alpha(f, gamma, scope, tie, existential, cap=None):
@@ -158,7 +158,7 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=None):
     pairs.  ``checked`` counts the pairs that scan would examine: 2**n - 2**|X|
     for each finished X, and at the stopping (X, Y) the Y' <= Y not inside X.
 
-    The scan runs on the int table of ``_monotone_table``: with gamma = p/q and
+    The scan runs on the int table of ``_audit_table``: with gamma = p/q and
     the running least alpha a/b, the pair needs more when
     b*(p*T - q*|Y|*G) > a*q*F, for the scaled values T = f(X+Y), F = f(X) and
     best gain G.  Y runs over the nonempty submasks of the complement of X in
@@ -167,9 +167,7 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=None):
     if existential not in ("full", "difference"):
         raise ParameterError(f"unknown existential scope {existential!r}")
     n = f.n
-    steps = 3**n + (n << n) if scope == "strong" else (n + 2) << n
-    x_sets = _scope_sets(f, scope, tie, steps)
-    table, scale = _monotone_table(f)
+    x_sets, table, scale = _audit_table(f, scope, tie)
     full = (1 << n) - 1
     sizes = [y_set.bit_count() for y_set in range(1 << n)]
     best = [0] * (1 << n)  # best[Y] = best gain at X of an element of Y, scaled
@@ -248,33 +246,32 @@ class RatioResult:
 def weak_submodularity_ratio(f: SetFunctionOracle, tie: TiePolicy = "low") -> RatioResult:
     """Exact minimum of (sum of singleton gains)/(joint gain) over the greedy chain.
 
-    X ranges over chain prefixes up to saturation, Y over subsets disjoint
-    from X.  Pairs with zero joint gain count as 1 when the singleton sum is
-    zero too and are excluded (treated as +inf) otherwise.
+    X ranges over chain prefixes up to saturation, Y over nonempty subsets
+    disjoint from X, in increasing order; the witness is the first pair that
+    reaches the minimum (X = Y = {} when it is 1).  Pairs with zero joint gain
+    count as 1 when the singleton sum is zero too and are excluded (treated as
+    +inf) otherwise.  On the int table of ``_audit_table`` (its scale cancels)
+    sums[Y] extends sums[Y minus its lowest element], and sum/joint < num/den
+    is decided as sum*den < num*joint.
     """
+    x_sets, table, _ = _audit_table(f, "weak", tie)
     n = f.n
-    x_sets = _scope_sets(f, "weak", tie, (n + 1) << n)
-    size = 1 << n
-    sums: list[Fraction | None] = [None] * size
-    best = RatioResult(Fraction(1), 0, 0, 0, tie)
+    full = (1 << n) - 1
+    sums = [0] * (1 << n)  # sums[Y] = sum of the singleton gains at X over Y, scaled
+    num, den, x_best, y_best = 1, 1, 0, 0
     checked = 0
     for x_set in x_sets:
-        fx = f.value(x_set)
-        gain = [f.value(x_set | (1 << y)) - fx for y in range(n)]
-        sums[0] = ZERO
-        for y_set in range(1, size):
-            if y_set & x_set:
-                continue
+        comp, fx = full ^ x_set, table[x_set]
+        gains = {1 << e: table[x_set | 1 << e] - fx for e in range(n) if comp >> e & 1}
+        y_set = 0
+        while y_set := (y_set - comp) & comp:
             low = y_set & -y_set
-            sums[y_set] = sums[y_set ^ low] + gain[low.bit_length() - 1]
-            checked += 1
-            joint = f.value(x_set | y_set) - fx
-            if joint == 0:
-                continue  # 0/0 counts as 1; positive/0 is +inf, never minimal
-            ratio = sums[y_set] / joint
-            if ratio < best.value:
-                best = RatioResult(ratio, x_set, y_set, 0, tie)
-    return RatioResult(best.value, best.x_set, best.y_set, checked, tie)
+            total = sums[y_set] = sums[y_set ^ low] + gains[low]
+            joint = table[x_set | y_set] - fx
+            if total * den < num * joint:  # never at joint 0: 0/0 is 1, positive/0 +inf
+                num, den, x_best, y_best = total, joint, x_set, y_set
+        checked += (1 << comp.bit_count()) - 1
+    return RatioResult(Fraction(num, den), x_best, y_best, checked, tie)
 
 
 def min_alpha_for(

@@ -97,6 +97,7 @@ def _closed_eval(params: CriticalParams, gains: list[Fraction]):
     # The B-block contributes only when b_1 is included.
     k, alpha = params.k, params.alpha
     a_mask = (1 << k) - 1
+    blocks = [params.curve(c) / k for c in range(k + 1)]
 
     def evaluate(mask: int) -> Fraction:
         a_sum = Fraction(0)
@@ -108,7 +109,7 @@ def _closed_eval(params: CriticalParams, gains: list[Fraction]):
         best = a_sum
         b_part = mask >> k
         if b_part & 1:
-            block = params.curve(b_part.bit_count()) / k
+            block = blocks[b_part.bit_count()]
             if block > best:
                 best = block
             combined = block * (1 - alpha * a_sum) + a_sum

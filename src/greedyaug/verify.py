@@ -19,6 +19,7 @@ from .core import (
     greedy_adaptive,
     indices_of,
     optimum_profile,
+    optimum_value,
 )
 from .audit import (
     check_alpha_augmentable,
@@ -224,8 +225,6 @@ def staircase_check() -> CheckResult:
     scale = flows.capacity_scale(k)
     if trace.values[alpha * k] != k * (scale ** (alpha * k) - 1):
         return _fail(check_id, f"greedy value {trace.values[alpha * k]}")
-    from .core import optimum_value
-
     best = optimum_value(f, alpha * k, upper_bound=flows.excess_upper_bound(inst))
     if best != alpha * k * scale ** (alpha * k):
         return _fail(check_id, f"optimum {best}")

@@ -186,6 +186,7 @@ NON_MONOTONE_AUDITS = [
                  id="gamma-alpha-strong"),
     pytest.param(lambda f: ga.min_alpha_for(f, 1), id="min-alpha-weak"),
     pytest.param(lambda f: ga.min_alpha_for(f, 1, scope="strong"), id="min-alpha-strong"),
+    pytest.param(ga.weak_submodularity_ratio, id="weak-ratio"),
 ]
 
 
@@ -329,13 +330,17 @@ def scope_sets(f, scope):
 
 
 def naive_weak_ratio(f, tie):
+    """(ratio, X, Y, pairs): the first strict minimum below 1 in scan order
+    (X = Y = {} when there is none) and the number of nonempty Y disjoint
+    from a chain prefix X."""
     trace = ga.greedy_adaptive(f, f.n, tie=tie)
     chain = trace.chain[: ga.saturation_cardinality(f, tie=tie) + 1]
-    best = F(1)
+    best, x_best, y_best, pairs = F(1), 0, 0, 0
     for x_set in chain:
-        for y_set in range(1 << f.n):
+        for y_set in range(1, 1 << f.n):
             if y_set & x_set:
                 continue
+            pairs += 1
             joint = f.value(x_set | y_set) - f.value(x_set)
             if joint == 0:
                 continue
@@ -343,8 +348,9 @@ def naive_weak_ratio(f, tie):
                 (f.value(x_set | (1 << y)) - f.value(x_set) for y in ga.indices_of(y_set)),
                 F(0),
             )
-            best = min(best, total / joint)
-    return best
+            if total / joint < best:
+                best, x_best, y_best = total / joint, x_set, y_set
+    return best, x_best, y_best, pairs
 
 
 @settings(max_examples=30, deadline=None)
@@ -396,4 +402,7 @@ def test_min_alpha_matches_naive_reference(data, gamma, scope, existential):
 def test_weak_ratio_matches_naive_reference(data, tie):
     n, increments = data
     f = build_monotone_oracle(n, increments)
-    assert ga.weak_submodularity_ratio(f, tie=tie).value == naive_weak_ratio(f, tie)
+    result = ga.weak_submodularity_ratio(f, tie=tie)
+    assert (result.value, result.x_set, result.y_set, result.checked_pairs) == naive_weak_ratio(
+        f, tie
+    )

@@ -133,7 +133,7 @@ SWEEPS = [
                  20, id="gamma-alpha-weak"),
     pytest.param(lambda f: ga.min_alpha_for(f, 1), lambda n: (n + 2) * 2**n, 20,
                  id="min-alpha-weak"),
-    pytest.param(ga.weak_submodularity_ratio, lambda n: (n + 1) * 2**n, 20,
+    pytest.param(ga.weak_submodularity_ratio, lambda n: (n + 2) * 2**n, 20,
                  id="weak_submodularity_ratio"),
     pytest.param(ga.weighted_rank_oracle, lambda n: n * 2**n, 20, id="weighted_rank_oracle"),
     pytest.param(ga.check_exchange_equivalences, lambda n: n * 2**n, 20,
