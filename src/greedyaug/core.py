@@ -68,9 +68,12 @@ def require_budget(steps: int, what: str) -> None:
 
 
 def parse_rational(value, name: str = "value") -> Fraction:
-    """A "p/q" string, a JSON integer or a Fraction; bools and floats are refused."""
+    """A "p/q" string, a JSON integer or a Fraction; bools, floats and q = 0 are refused."""
     if isinstance(value, (str, Fraction)) or isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ParameterError(f"{name} has a zero denominator, got {value!r}") from None
     raise ParameterError(f'{name} must be a "p/q" string or a JSON integer, got {value!r}')
 
 

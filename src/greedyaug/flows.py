@@ -59,6 +59,8 @@ def _parse_capacity(token):
     try:
         return parse_rational(token, "capacity")
     except ParameterError:
+        if isinstance(token, str):  # a "p/q" string with q = 0
+            raise
         raise ParameterError(
             f'capacity must be a "p/q" string, a JSON integer or "inf", got {token!r}'
         ) from None
@@ -183,7 +185,10 @@ class FlowInstance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FlowInstance":
-        caps = tuple(tuple(_parse_capacity(c) for c in row) for row in d["capacities"])
+        rows = d["capacities"]
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ParameterError(f"capacities must be a JSON list of JSON lists, got {rows!r}")
+        caps = tuple(tuple(_parse_capacity(c) for c in row) for row in rows)
         if len(caps) != require_int(d.get("commodities", len(caps)), "commodities"):
             raise ParameterError("commodity count disagrees with capacity rows")
         labels = d.get("labels")
@@ -217,10 +222,9 @@ def evaluate_objective(inst: FlowInstance, sink_mask: int) -> Fraction:
     the column count as (arcs x commodities) + a demand column for every sink,
     chosen or not.
     """
-    chosen = indices_of(sink_mask)
-    if any(i >= len(inst.sinks) for i in chosen):
+    if not 0 <= sink_mask < 1 << len(inst.sinks):
         raise ParameterError("sink mask outside the sink set")
-    if not chosen:
+    if not sink_mask:
         return Fraction(0)
     columns = len(inst.arcs) * inst.commodities + len(inst.sinks)
     if columns > MAX_LP_COLUMNS:
@@ -274,10 +278,9 @@ def max_flow(inst: FlowInstance, commodity: int, sink_mask: int) -> Fraction:
     """
     if not 0 <= commodity < inst.commodities:
         raise ParameterError(f"commodity {commodity} outside 0..{inst.commodities - 1}")
-    chosen = indices_of(sink_mask)
-    if any(i >= len(inst.sinks) for i in chosen):
+    if not 0 <= sink_mask < 1 << len(inst.sinks):
         raise ParameterError("sink mask outside the sink set")
-    if not chosen:
+    if not sink_mask:
         return Fraction(0)
 
     finite_total = Fraction(0)
@@ -306,7 +309,7 @@ def max_flow(inst: FlowInstance, commodity: int, sink_mask: int) -> Fraction:
         for c in row
         if c != 0
     )
-    for i in chosen:
+    for i in indices_of(sink_mask):
         add(inst.sinks[i], super_sink, super_cap)
 
     total = Fraction(0)

@@ -138,12 +138,10 @@ def downward_closure_system(
     return IndependenceSystem(ground, independent, weights, name=name)
 
 
-def random_downward_closed_system(
-    n: int, rng: random.Random, max_generators: int = 4, max_weight: int = 8
-) -> IndependenceSystem:
-    """Reproducible small test instance: random generators, random rational weights."""
-    generators = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, max_generators))]
-    weights = [Fraction(rng.randint(0, max_weight), rng.choice([1, 2, 3])) for _ in range(n)]
+def random_downward_closed_system(n: int, rng: random.Random) -> IndependenceSystem:
+    """Reproducible small test instance: 1-4 random generators, weights p/q, p <= 8, q <= 3."""
+    generators = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))]
+    weights = [Fraction(rng.randint(0, 8), rng.choice([1, 2, 3])) for _ in range(n)]
     return downward_closure_system(n, generators, weights, name=f"random(n={n})")
 
 

@@ -63,17 +63,15 @@ def _ok(check_id: str) -> CheckResult:
     return CheckResult(check_id, True)
 
 
-def critical_pick_order_check(
-    oracle: SetFunctionOracle | None = None, gamma=Fraction(1), alpha=Fraction(1), k: int = 3
-) -> CheckResult:
-    """Greedy must take the A block in index order with the geometric gains,
-    then the B block in index order.  Accepts a replacement oracle so a
-    corrupted gain table can be shown to fail."""
+def critical_pick_order_check(oracle: SetFunctionOracle | None = None) -> CheckResult:
+    """Greedy on critical(1, 1, 3) must take the A block in index order with
+    the geometric gains, then the B block in index order.  Accepts a
+    replacement oracle so a corrupted gain table can be shown to fail."""
     check_id = "critical-pick-order"
-    params = CriticalParams(Fraction(gamma), Fraction(alpha), k)
-    f = oracle if oracle is not None else make_critical_function(gamma, alpha, k)
+    k = 3
+    f = oracle if oracle is not None else make_critical_function(1, 1, k)
     trace = greedy_adaptive(f, 2 * k, tie="low")
-    expected_gains = params.step_gains()
+    expected_gains = CriticalParams(Fraction(1), Fraction(1), k).step_gains()
     for i in range(2 * k):
         expected_pick = i
         if trace.picks[i] != expected_pick:

@@ -175,7 +175,7 @@ class TestVerify:
         gains = params.step_gains()
         gains[1] *= 2  # fault injection: second gain doubled
         corrupted = _oracle_from_parts(params, gains)
-        result = verify.critical_pick_order_check(oracle=corrupted, k=3)
+        result = verify.critical_pick_order_check(oracle=corrupted)
         assert not result.ok
         assert result.detail.startswith("step ")  # names the first divergent step
 
@@ -279,6 +279,15 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
                       '{"weights": ["1"], "alphas": [1.5]}'], None,
                      'alphas entry must be a "p/q" string or a JSON integer, got 1.5',
                      id="float-alphas-entry"),
+        pytest.param(["audit", "--family", "critical", "--params",
+                      '{"gamma": "1/0", "alpha": "1", "k": 3}'], None,
+                     "gamma has a zero denominator, got '1/0'", id="zero-denominator-gamma"),
+        pytest.param(["trace"], {**THREE_VERTEX_JSON, "capacities": [["1", "1/0", "1/2"]]},
+                     "capacity has a zero denominator, got '1/0'", id="zero-denominator-capacity"),
+        pytest.param(["trace"], {**THREE_VERTEX_JSON, "arcs": [[1, 0], [1, 2]],
+                                 "capacities": ["12"]},
+                     "capacities must be a JSON list of JSON lists, got ['12']",
+                     id="capacity-row-string"),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, argv, instance, fragment):

@@ -32,10 +32,11 @@ class TestTwoSink:
         inst, _ = two_sink2
         with pytest.raises(ga.ParameterError):
             ga.max_flow(inst, 2, 0b01)
-        with pytest.raises(ga.ParameterError):
-            ga.max_flow(inst, 0, 0b100)
-        with pytest.raises(ga.ParameterError):
-            ga.evaluate_objective(inst, 0b100)
+        for mask in (-1, 1 << len(inst.sinks)):
+            with pytest.raises(ga.ParameterError, match="sink mask outside the sink set"):
+                ga.max_flow(inst, 0, mask)
+            with pytest.raises(ga.ParameterError, match="sink mask outside the sink set"):
+                ga.evaluate_objective(inst, mask)
 
     def test_values_are_not_weight_representable(self, two_sink2):
         _, oracle = two_sink2
