@@ -68,8 +68,13 @@ def require_budget(steps: int, what: str) -> None:
 
 
 def parse_rational(value, name: str = "value") -> Fraction:
-    """A "p/q" string, a JSON integer or a Fraction; bools, floats and q = 0 are refused."""
-    if isinstance(value, (str, Fraction)) or isinstance(value, int) and not isinstance(value, bool):
+    """A "p/q" string, a JSON integer or a Fraction; bools, floats and q = 0 are refused.
+
+    So are exponent strings such as "1e-1000000", which ``Fraction`` would
+    expand into a huge denominator before any range check could refuse them.
+    """
+    text = isinstance(value, str) and "e" not in value.lower()
+    if text or isinstance(value, Fraction) or isinstance(value, int) and not isinstance(value, bool):
         try:
             return Fraction(value)
         except ZeroDivisionError:

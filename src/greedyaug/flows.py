@@ -130,7 +130,8 @@ class FlowInstance:
         demand per sink in sink order, from column ``first_demand``.  Rows: one
         capacity row per finite-capacity flow column, then per commodity and
         non-source vertex v, ``outflow(v) - inflow(v) + d_v <= 0`` (d_v only
-        when v is a sink).
+        when v is a sink).  ``evaluate_objective`` keeps the last optimal
+        solution over these rows beside them, as ``_lp_start``.
         """
         flow = [
             (i, e) for i, row in enumerate(self.capacities) for e, c in enumerate(row) if c != 0
@@ -218,9 +219,14 @@ def evaluate_objective(inst: FlowInstance, sink_mask: int) -> Fraction:
     """Exact value of selecting the sinks in ``sink_mask`` (bitmask over sink order).
 
     Solves the instance's one ``lp_model`` with objective 1 on the demand
-    columns of the chosen sinks and 0 elsewhere.  ``MAX_LP_COLUMNS`` bounds
-    the column count as (arcs x commodities) + a demand column for every sink,
-    chosen or not.
+    columns of the chosen sinks and 0 elsewhere.  Every solve after the first
+    warm-starts from the instance's last optimal basis, which stays primal
+    feasible because a selection changes only the objective; an ``Unbounded``
+    selection leaves that start as it was.  Each value is certified by
+    ``exactlp`` and is the LP's unique optimum, so it does not depend on the
+    order in which masks are evaluated.  ``MAX_LP_COLUMNS`` bounds the column
+    count as (arcs x commodities) + a demand column for every sink, chosen or
+    not.
     """
     if not 0 <= sink_mask < 1 << len(inst.sinks):
         raise ParameterError("sink mask outside the sink set")
@@ -234,12 +240,13 @@ def evaluate_objective(inst: FlowInstance, sink_mask: int) -> Fraction:
         exactlp.ONE if sink_mask >> j & 1 else exactlp.ZERO for j in range(len(inst.sinks))
     ]
     try:
-        solution = exactlp.maximize(objective, rows, rhs)
+        solution = exactlp.maximize(objective, rows, rhs, start=getattr(inst, "_lp_start", None))
     except exactlp.Unbounded as exc:
         raise exactlp.Unbounded(
             f"{inst.name}: unbounded objective (every commodity has unlimited capacity "
             f"into some selected sink)"
         ) from exc
+    object.__setattr__(inst, "_lp_start", solution)
     return solution.value
 
 
@@ -260,6 +267,8 @@ def excess_upper_bound(inst: FlowInstance):
     singles = [evaluate_objective(inst, 1 << i) for i in range(len(inst.sinks))]
 
     def bound(mask: int) -> Fraction:
+        if not 0 <= mask < 1 << len(singles):
+            raise ParameterError("sink mask outside the sink set")
         total = Fraction(0)
         for i in indices_of(mask):
             total += singles[i]

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 from .core import (
     GroundSet,
+    ParameterError,
     SetFunctionOracle,
     TiePolicy,
     as_fraction,
@@ -62,6 +63,8 @@ class IndependenceSystem:
         return cached
 
     def weight(self, mask: int) -> Fraction:
+        if not 0 <= mask < 1 << self.n:
+            raise ParameterError(f"mask {mask:#x} outside ground set of {self.n} elements")
         total = Fraction(0)
         for i in indices_of(mask):
             total += self.weights[i]

@@ -166,11 +166,10 @@ def test_criterion_5_staircase_reproduction(staircase_a1k2, staircase_a1k3, stai
         best = ga.optimum_value(oracle, steps, upper_bound=ga.excess_upper_bound(inst))
         assert best == steps * scale ** steps, (alpha, k)
         assert best / greedy_value == ga.lower_bound_ratio_closed_form(alpha, k)
-        if alpha == 1:  # small enough for the full sweep
-            assert ga.approximation_ratio(oracle) == (
-                ga.lower_bound_ratio_closed_form(alpha, k),
-                steps,
-            )
+        assert ga.approximation_ratio(oracle) == (
+            ga.lower_bound_ratio_closed_form(alpha, k),
+            steps,
+        )
     elapsed = time.time() - start
     report("5 staircase-reproduction", elapsed < 120, f"three instances in {elapsed:.2f}s")
 

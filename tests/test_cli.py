@@ -282,6 +282,10 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
         pytest.param(["audit", "--family", "critical", "--params",
                       '{"gamma": "1/0", "alpha": "1", "k": 3}'], None,
                      "gamma has a zero denominator, got '1/0'", id="zero-denominator-gamma"),
+        pytest.param(["audit", "--family", "critical", "--params",
+                      '{"gamma": "1e-1000000", "alpha": "1", "k": 3}'], None,
+                     'gamma must be a "p/q" string or a JSON integer, got \'1e-1000000\'',
+                     id="exponent-gamma"),
         pytest.param(["trace"], {**THREE_VERTEX_JSON, "capacities": [["1", "1/0", "1/2"]]},
                      "capacity has a zero denominator, got '1/0'", id="zero-denominator-capacity"),
         pytest.param(["trace"], {**THREE_VERTEX_JSON, "arcs": [[1, 0], [1, 2]],

@@ -10,14 +10,26 @@ from greedyaug import exactlp
 F = Fraction
 
 
+def assert_certified(objective, rows, rhs, sol):
+    """Re-check x and y with dense sums over rows, rhs and objective alone."""
+    x, y = sol.x, sol.y
+    assert len(x) == len(objective) and len(y) == len(rows)
+    assert all(v >= 0 for v in x) and all(v >= 0 for v in y)
+    for row, b in zip(rows, rhs):
+        assert sum(a * v for a, v in zip(row, x)) <= b
+    for j, c in enumerate(objective):
+        assert sum(row[j] * v for row, v in zip(rows, y)) >= c
+    assert sum(c * v for c, v in zip(objective, x)) == sol.value
+    assert sum(b * v for b, v in zip(rhs, y)) == sol.value
+
+
 def test_basic_two_variable_lp():
-    sol = exactlp.maximize(
-        [F(3), F(2)],
-        [[F(1), F(1)], [F(1), F(0)]],
-        [F(4), F(2)],
-    )
+    objective, rows, rhs = [F(3), F(2)], [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)]
+    sol = exactlp.maximize(objective, rows, rhs)
     assert sol.value == 10
     assert sol.x == [F(2), F(2)]
+    assert sol.y == [F(2), F(1)]
+    assert_certified(objective, rows, rhs, sol)
 
 
 def test_zero_objective_is_immediate():
@@ -128,7 +140,79 @@ def test_matches_vertex_enumeration(lp):
     objective, rows, rhs = lp
     sol = exactlp.maximize(objective, rows, rhs)
     assert sol.value == vertex_enumeration_optimum(objective, rows, rhs)
-    assert len(sol.x) == len(objective) and all(v >= 0 for v in sol.x)
-    for row, b in zip(rows, rhs):
-        assert sum(a * v for a, v in zip(row, sol.x)) <= b
-    assert sum(c * v for c, v in zip(objective, sol.x)) == sol.value
+    assert_certified(objective, rows, rhs, sol)
+
+
+def outcome(objective, rows, rhs, start=None):
+    try:
+        return exactlp.maximize(objective, rows, rhs, start=start)
+    except exactlp.Unbounded:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_lps(), st.booleans(), st.data())
+def test_warm_chain_matches_cold_solves(lp, keep_bounding_row, data):
+    """Objectives in sequence, each solve warm from the last optimum; some LPs are unbounded."""
+    _, rows, rhs = lp
+    if not keep_bounding_row:
+        bound = rows.index([F(1)] * len(rows[0]))
+        rows, rhs = rows[:bound] + rows[bound + 1:], rhs[:bound] + rhs[bound + 1:]
+    width = len(lp[0])
+    objectives = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width),
+                                    min_size=1, max_size=5))
+    start = None
+    for objective in objectives:
+        snapshot = None if start is None else [dict(row) for row in start.tableau]
+        cold, warm = outcome(objective, rows, rhs), outcome(objective, rows, rhs, start)
+        assert (cold is None) == (warm is None)
+        if start is not None:
+            assert [dict(row) for row in start.tableau] == snapshot  # copied, never changed
+        if warm is not None:
+            assert warm.value == cold.value
+            assert_certified(objective, rows, rhs, warm)
+            start = warm
+
+
+def test_resolving_from_own_optimum_takes_no_pivots():
+    objective, rows, rhs = [F(1), F(1)], [[F(3), F(1)], [F(1), F(3)]], [F(1), F(1)]
+    cold = exactlp.maximize(objective, rows, rhs)
+    warm = exactlp.maximize(objective, rows, rhs, start=cold)
+    assert cold.iterations > 0 and warm.iterations == 0
+    assert (warm.value, warm.x, warm.y) == (cold.value, cold.x, cold.y)
+
+
+def test_start_from_other_rows_refused():
+    rows, rhs = [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)]
+    sol = exactlp.maximize([F(3), F(2)], rows, rhs)
+    equal_copy = [list(row) for row in rows]  # same entries, another object
+    for other_rows, other_rhs in ((equal_copy, rhs), (rows, [F(5), F(2)])):
+        with pytest.raises(ValueError, match="other rows"):
+            exactlp.maximize([F(1), F(1)], other_rows, other_rhs, start=sol)
+    with pytest.raises(ValueError, match="objective length"):
+        exactlp.maximize([F(1)], rows, rhs, start=sol)
+    assert exactlp.maximize([F(1), F(1)], rows, rhs, start=sol).value == 4
+
+
+@pytest.mark.parametrize("edits", [
+    {(0, 4): F(3)}, {(1, 4): F(3)},  # b column: x moves off the optimum
+    {(0, 2): F(2)}, {(1, 3): F(2)},  # slack columns: y no longer matches
+    {(0, 2): F(0), (0, 3): F(1)},  # y = (0, 5): b.y = c.x = 10, but A^T y < c
+], ids=["b-row0", "b-row1", "slack-row0", "slack-row1", "dual-infeasible"])
+def test_tampered_start_raises_instead_of_returning_a_wrong_value(edits):
+    objective, rows, rhs = [F(3), F(2)], [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)]
+    sol = exactlp.maximize(objective, rows, rhs)
+    assert sol.basis == (1, 0) and sol.y == [F(2), F(1)]
+    for (row, column), entry in edits.items():
+        sol.tableau[row][column] = entry
+    with pytest.raises(exactlp.CertificateError):
+        exactlp.maximize(objective, rows, rhs, start=sol)
+
+
+def test_tampered_start_cannot_fake_unboundedness():
+    rows, rhs = [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)]
+    sol = exactlp.maximize([F(0), F(0)], rows, rhs)  # all-slack basis, no pivots
+    for row in sol.tableau:
+        row[0] = F(-1)  # column 0 now looks unlimited by every row
+    with pytest.raises(exactlp.CertificateError):
+        exactlp.maximize([F(1), F(0)], rows, rhs, start=sol)

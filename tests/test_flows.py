@@ -199,6 +199,9 @@ class TestObjectiveEvaluation:
         bound = ga.excess_upper_bound(inst)
         for mask in (0b1111, 0b11110000, 0b10011):
             assert oracle.value(mask) <= bound(mask)
+        for mask in (-1, 1 << len(inst.sinks)):
+            with pytest.raises(ga.ParameterError, match="sink mask outside the sink set"):
+                bound(mask)
 
 
 class TestInstanceValidation:
@@ -276,7 +279,8 @@ def outcome(evaluate, *args):
 
 
 @st.composite
-def flow_instances(draw, max_commodities=3):
+def flow_instances(draw, max_commodities=3,
+                   capacities=(F(0), F(1), F(2), F(1, 2), F(5, 3), INF)):
     n = draw(st.integers(3, 7))
     source = draw(st.integers(0, n - 1))
     others = [v for v in range(n) if v != source]
@@ -284,7 +288,7 @@ def flow_instances(draw, max_commodities=3):
                           unique=True))
     pairs = [(u, w) for u in range(n) for w in range(n) if u != w]
     arcs = draw(st.lists(st.sampled_from(pairs), max_size=14, unique=True))
-    capacity = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(5, 3), INF])
+    capacity = st.sampled_from(capacities)
     rows = [draw(st.lists(capacity, min_size=len(arcs), max_size=len(arcs)))
             for _ in range(draw(st.integers(1, max_commodities)))]
     return ga.FlowInstance(n, tuple(arcs), source, tuple(sinks), tuple(map(tuple, rows)))
@@ -295,6 +299,42 @@ def flow_instances(draw, max_commodities=3):
 def test_objective_matches_per_mask_reference(inst):
     for mask in range(1 << len(inst.sinks)):
         assert outcome(ga.evaluate_objective, inst, mask) == outcome(reference_objective, inst, mask)
+
+
+def cold_objective(inst, sink_mask):
+    """``evaluate_objective``'s LP for one mask, solved cold from the all-slack basis."""
+    rows, rhs, first_demand = inst.lp_model
+    objective = [F(0)] * first_demand + [F(sink_mask >> j & 1) for j in range(len(inst.sinks))]
+    return exactlp.maximize(objective, rows, rhs).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow_instances(capacities=(F(0), F(1, 2), F(5, 3), INF)), st.data())
+def test_warm_started_values_match_cold_solves(inst, data):
+    """Masks in random order with repeats through one instance, so every solve after
+    the first starts from the last optimal basis, across unbounded masks too."""
+    masks = data.draw(st.lists(st.integers(1, (1 << len(inst.sinks)) - 1),
+                               min_size=2, max_size=24))
+    for mask in masks:
+        assert outcome(ga.evaluate_objective, inst, mask) == outcome(cold_objective, inst, mask)
+
+
+def test_each_solve_starts_from_the_last_optimum(monkeypatch):
+    # sink 1 is fed through capacity 1, sink 2 without limit
+    inst = ga.FlowInstance(3, ((0, 1), (0, 2)), 0, (1, 2), ((F(1), INF),))
+    solve, calls = exactlp.maximize, []
+
+    def spy(objective, rows, rhs, start=None):
+        calls.append([start, None])
+        calls[-1][1] = solve(objective, rows, rhs, start=start)
+        return calls[-1][1]
+
+    monkeypatch.setattr(exactlp, "maximize", spy)
+    assert [outcome(ga.evaluate_objective, inst, mask) for mask in (0b01, 0b10, 0b01)] == [
+        1, "unbounded", 1]
+    first, unbounded, last = calls
+    assert first[0] is None and unbounded[1] is None
+    assert unbounded[0] is first[1] and last[0] is first[1]  # Unbounded keeps the start
 
 
 @settings(max_examples=40, deadline=None)

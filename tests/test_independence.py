@@ -50,6 +50,13 @@ class TestSystems:
         with pytest.raises(ga.MalformedSystem):
             ga.free_system([1, -1])
 
+    def test_weight_mask_validated(self):
+        system = ga.free_system([3, 1, 2])
+        assert system.weight(0b111) == 6
+        for mask in (-1, 1 << system.n):
+            with pytest.raises(ga.ParameterError, match="outside ground set of 3 elements"):
+                system.weight(mask)
+
     def test_rank_oracle_guard(self):
         with pytest.raises(ga.GroundSetTooLarge):
             ga.weighted_rank_oracle(ga.free_system([1] * 20))
