@@ -21,9 +21,11 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 
 from .core import (
     GroundSetTooLarge,
+    ParameterError,
     approximation_ratio,
     format_rational,
     greedy_adaptive,
@@ -175,13 +177,36 @@ def _ratio_rows(entry, params, ks, tie, max_measure):
     0 < 1 - t < e**-t for 0 < t < 1 gives (1 - alpha/k)**k < e**-alpha and
     (1 - 1/k)**(alpha*k) < e**-alpha.  So the gap to the limit shrinks from one
     k to the next exactly when the closed form grows.
+
+    A k is refused when its closed form has more digits than
+    ``sys.get_int_max_str_digits()`` lets ``format_rational`` print.  Both
+    closed forms are c/(1 - s**m) with c = alpha/gamma, s = p/q in lowest terms
+    in (0, 1), and m = size/2 the cardinality greedy is measured at (k, or
+    alpha*k for gk).  As q**m and q**m - p**m are coprime, the reduced
+    numerator is at least q**m/den(c) >= 2**m/den(c).  So a k with
+    2**m >= 10**digits * den(c) is refused before its closed form is computed,
+    which keeps the refusal of a huge k immediate; any other k is refused when
+    its computed closed form does not print.
     """
     gamma, alpha = entry.shape(params)
     limit = limit_ratio(gamma, alpha)
+    # Interpreters older than the conversion limit (before 3.10.7) have none: 0.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = (10**digits * Fraction(alpha, gamma).denominator).bit_length()
     rows = []
     previous = None
     for k in ks:
+        refusal = ParameterError(
+            f"k={k}: the exact closed form has more than {digits} digits, "
+            f"the most an integer may print (sys.get_int_max_str_digits())"
+        )
+        if digits and entry.size(alpha, k) // 2 >= too_long:
+            raise refusal
         closed = entry.ratio(gamma, alpha, k)
+        try:
+            closed_text = format_rational(closed)
+        except ValueError:
+            raise refusal from None
         converging = "" if previous is None else ("yes" if closed > previous else "no")
         previous = closed
         measured = ""
@@ -193,7 +218,7 @@ def _ratio_rows(entry, params, ks, tie, max_measure):
         else:
             note = "closed-form-only"
         rows.append(
-            (str(k), measured, format_rational(closed), f"{float(closed):.15g}",
+            (str(k), measured, closed_text, f"{float(closed):.15g}",
              f"{limit:.15g}", converging, note)
         )
     return rows

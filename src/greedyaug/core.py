@@ -101,6 +101,8 @@ def mask_of(indices: Iterable[int]) -> int:
 
 def indices_of(mask: int) -> tuple[int, ...]:
     """Sorted element indices of a mask (the JSON form of a subset)."""
+    if mask < 0:
+        raise ValueError(f"mask must be >= 0, got {mask}")
     out = []
     while mask:
         low = mask & -mask

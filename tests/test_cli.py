@@ -1,5 +1,7 @@
+import dataclasses
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -141,11 +143,88 @@ class TestRatioTable:
         rows = [line.split(",") for line in out.read_text().splitlines()]
         assert rows[1][1] == rows[1][2] == "4/3"
 
+    def test_longest_printable_closed_forms(self, capsys):
+        # One k past each of these is refused: its closed form has too many digits to print.
+        for family, params, k in (("critical", "{}", 1370), ("gk", '{"alpha": 2}', 748)):
+            assert run(["ratio-table", "--family", family, "--params", params, "--k", str(k)]) == 0
+            assert capsys.readouterr().out.splitlines()[1].startswith(f"{k},,")
+
+    def test_huge_k_refused_without_computing_the_closed_form(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("closed form computed")
+
+        critical = dataclasses.replace(FAMILIES["critical"], ratio=never)
+        monkeypatch.setitem(FAMILIES, "critical", critical)
+        with pytest.raises(SystemExit, match="k=1000000000000: the exact closed form"):
+            run(["ratio-table", "--family", "critical", "--k", str(10**12)])
+
     def test_empty_k_list_header_only(self, tmp_path):
         out = tmp_path / "table.csv"
         run(["ratio-table", "--family", "critical",
              "--params", '{"gamma": "1", "alpha": "1"}', "--out", str(out)])
         assert out.read_text() == ",".join(cli.RATIO_HEADER) + "\n"
+
+
+def _shifted_witness(side, shift):
+    def corrupt(audit):
+        def corrupted(f, alpha):
+            report = audit(f, alpha)
+            witness = dataclasses.replace(
+                report.witness, **{side: getattr(report.witness, side) + shift}
+            )
+            return dataclasses.replace(report, witness=witness)
+
+        return corrupted
+
+    return corrupt
+
+
+def _constant(value):
+    return lambda original: lambda *args, **kwargs: value
+
+
+REJECTED = SimpleNamespace(member=False)
+UNIFORM = ga.uniform_matroid(4, 2, [3, 1, 2, 2])
+
+# One fault per per-case function of greedyaug.verify: (case, its arguments, the
+# name replaced in verify's namespace, the replacement built from the original,
+# a fragment of the detail the case must then return).
+FAULTS = [
+    pytest.param(verify.critical_ratio_case, (1, 1, 3), "critical_ratio_closed_form",
+                 lambda orig: lambda g, a, k: orig(g, a, k) + 1, "closed form", id="ratio"),
+    pytest.param(verify.critical_weak_case, (1, 1, 3), "make_critical_function",
+                 lambda orig: lambda g, a, k: orig(g, a + 1, k), "rejected at X=", id="weak"),
+    pytest.param(verify.critical_strong_case, (1, 2, 3, 2), "make_critical_function",
+                 lambda orig: lambda g, a, k: orig(F(1, 2), a, k), "rejected at alpha=2",
+                 id="strong-member"),
+    pytest.param(verify.critical_strong_case, (F(1, 2), 1, 3, 1), "check_alpha_augmentable",
+                 _shifted_witness("lhs", -1), "does not re-verify", id="strong-witness-lhs"),
+    pytest.param(verify.critical_strong_case, (F(1, 2), 1, 3, 1), "check_alpha_augmentable",
+                 _shifted_witness("rhs", 1), "does not re-verify", id="strong-witness-rhs"),
+    pytest.param(verify.ratio_separator_case, (F(1, 2),), "make_ratio_separator",
+                 lambda orig: lambda g: orig(g / 2), "weak ratio 1/4 != 1/2", id="ratio-separator"),
+    pytest.param(verify.rank_separator_case, (), "rank_quotient",
+                 _constant(SimpleNamespace(quotient=F(1, 3))), "rank quotient 1/3",
+                 id="rank-separator"),
+    pytest.param(verify.square_case, (), "make_square_cardinality",
+                 lambda orig: lambda n: ga.make_modular([1] * n), "accepted at alpha=1/2",
+                 id="square"),
+    pytest.param(verify.two_sink_case, (), "check_alpha_augmentable", _constant(REJECTED),
+                 "not augmentable", id="two-sink"),
+    pytest.param(verify.zero_ratio_case, (), "weak_submodularity_ratio",
+                 _constant(SimpleNamespace(value=F(1))), "weak ratio 1 != 0", id="zero-ratio"),
+    pytest.param(verify.staircase_case, (1, 2), "approximation_ratio",
+                 lambda orig: lambda f: (orig(f)[0], 1), "approximation_ratio", id="staircase"),
+    pytest.param(verify.containment_case, ("modular", ga.make_modular([3, 1, 2]), None),
+                 "check_gamma_alpha_augmentable", _constant(REJECTED),
+                 "modular: strong alpha=1 but weak 1-1 fails", id="containment"),
+    pytest.param(verify.containment_case, ("uniform", ga.weighted_rank_oracle(UNIFORM), UNIFORM),
+                 "rank_quotient", _constant(SimpleNamespace(quotient=F(0))),
+                 "rank quotient 0 is not positive", id="containment-quotient"),
+    pytest.param(verify.independence_bound_case, (UNIFORM, 1), "check_exchange_equivalences",
+                 _constant(SimpleNamespace(ok=False, violations=[SimpleNamespace(step=2)])),
+                 "exchange equivalence broken at step 2", id="independence-bound"),
+]
 
 
 class TestVerify:
@@ -178,6 +257,25 @@ class TestVerify:
         result = verify.critical_pick_order_check(oracle=corrupted)
         assert not result.ok
         assert result.detail.startswith("step ")  # names the first divergent step
+
+    @pytest.mark.parametrize("case, args, name, corrupt, fragment", FAULTS)
+    def test_fault_surfaces_as_detail(self, monkeypatch, case, args, name, corrupt, fragment):
+        assert case(*args) == ""
+        monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+        assert fragment in case(*args)
+
+    def test_failing_case_fails_verify_paper(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(verify, "critical_ratio_closed_form", lambda gamma, alpha, k: F(0))
+        detail = verify.critical_ratio_case(1, 1, 3)
+        assert detail
+        out = tmp_path / "summary.json"
+        assert run(["verify-paper", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == f"FAIL critical-ratio-tightness: {detail}"
+        assert printed[1:] == [f"PASS {check_id}" for check_id, _ in verify.CHECKS[1:]]
+        summary = json.loads(out.read_text())
+        assert summary["failures"] == 1
+        assert summary["checks"]["critical-ratio-tightness"] == {"ok": False, "detail": detail}
 
 
 class TestGenInstance:
@@ -222,6 +320,13 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
                      id="k-list-not-int"),
         pytest.param(["ratio-table", "--family", "critical", "--params", '{"alpha": "2"}',
                       "--k", "2"], None, "k must exceed alpha", id="k-not-above-alpha"),
+        pytest.param(["ratio-table", "--family", "critical", "--k", "1371"], None,
+                     "k=1371: the exact closed form has more than", id="closed-form-too-long"),
+        pytest.param(["ratio-table", "--family", "gk", "--params", '{"alpha": 2}', "--k", "749"],
+                     None, "k=749: the exact closed form has more than",
+                     id="gk-closed-form-too-long"),
+        pytest.param(["ratio-table", "--family", "critical", "--k", "1000000"], None,
+                     "k=1000000: the exact closed form has more than", id="huge-k"),
         pytest.param(["trace", "--family", "critical", "--params", '{"gamma": "1"}'], None,
                      "missing key 'alpha'", id="missing-key"),
         pytest.param(["trace", "--family", "mystery"], None, "unknown family tag 'mystery'",

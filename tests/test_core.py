@@ -221,6 +221,12 @@ def test_format_parse_rationals():
             ga.parse_rational(refused)
 
 
+def test_indices_of_refuses_negative_mask():
+    assert ga.indices_of(0b1011) == (0, 1, 3)
+    with pytest.raises(ValueError, match="mask must be >= 0, got -1"):
+        ga.indices_of(-1)
+
+
 def test_oracle_rejects_negative_values():
     f = ga.SetFunctionOracle(ga.GroundSet(1), lambda m: F(-1) if m else F(0))
     with pytest.raises(ValueError):
