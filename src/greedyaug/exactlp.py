@@ -3,18 +3,33 @@
 Requires b >= 0, so the all-slack basis is feasible and no phase 1 is needed
 (the flow objective always builds such programs).  The tableau
 B^-1 [A | I | b] keeps one dict of nonzeros per row, with b in column n + m;
-the flow models have about 2.5% nonzero entries.  Pivoting is Fraction
-arithmetic and follows Bland's rule: the entering column is the first one
-with a negative reduced cost, and the ratio test breaks ties on the smallest
-basis index, which guarantees termination from any feasible basis (Bland,
-Math. Oper. Res. 1977).  A cold start is a start from the all-slack basis.
+the flow models have about 2.5% nonzero entries.
+
+Pivoting is in integers (Edmonds 1967, Bareiss 1968): every row, the
+reduced-cost row included, is a dict of int numerators N_i over one int
+denominator d_i > 0, kept in lowest terms (gcd(d_i, N_i) = 1).  A cold row
+is L_i [A_i | e_i | b_i] over L_i, L_i the lcm of the row's denominators.
+A pivot on (r, c) makes the pivot row N_r over p = N_r[c] > 0 (in lowest
+terms, as N_r holds d_r at its basic column), and each row with
+f = N_i[c] != 0 becomes (p N_i - f N_r) over d_i p, reduced by one gcd;
+other rows are not touched.  Fractions are built only for the returned
+value, x and y.
+
+The pivots follow Bland's rule: the entering column is the first one with a
+negative reduced cost, and the ratio test (b_i/a_i, compared by
+cross-multiplying numerators) breaks ties on the smallest basis index, which
+guarantees termination from any feasible basis (Bland, Math. Oper. Res.
+1977).  A cold start is a start from the all-slack basis.
 
 Warm start: ``maximize(..., start=previous)`` continues from the optimal
 basis of an earlier solve over the same ``rows`` and ``rhs``.  Only the
 objective differs, and the constraints alone decide which bases are primal
 feasible, so the solve recomputes the reduced-cost row for the new objective
 from that basis and pivots on.  A start's tableau is copied, never changed,
-so one solution can seed any number of later solves.
+so one solution can seed any number of later solves.  A start whose rows
+hold entries that are not ints (only an edited solution has them) has those
+rows rescaled to ints over a larger denominator as it is copied, and the
+certificate below then judges whatever the solve finds.
 
 Certificate: before returning, every solve checks, on an integer copy of A
 (row i times the lcm L_i of its denominators, built once at the cold start
@@ -33,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 ZERO = Fraction(0)
@@ -67,7 +83,8 @@ class LPSolution:
     iterations: int
     y: list[Fraction]
     basis: tuple[int, ...]  # basic column per row; column n + i is row i's slack
-    tableau: tuple[dict, ...]  # B^-1 [A | I | b], nonzeros only
+    tableau: tuple[dict, ...]  # B^-1 [A | I | b], row i as int nonzeros over denominators[i]
+    denominators: tuple[int, ...]
     program: _Program
 
 
@@ -75,14 +92,15 @@ def maximize(objective, rows, rhs, start=None) -> LPSolution:
     """max objective.x s.t. rows.x <= rhs, x >= 0, certified; ``start`` is an
     earlier solution over the same ``rows`` object and ``rhs`` to continue from."""
     n, m = len(objective), len(rows)
+    end = n + m  # the b column
     if start is None:
         program = _program(rows, rhs, n)
-        basis = list(range(n, n + m))
-        tableau = [{j: a for j, a in enumerate(row) if a} for row in rows]
-        for i, b in enumerate(program.rhs):
-            tableau[i][n + i] = ONE
+        basis = list(range(n, end))
+        tableau, dens = [dict(row) for row in program.scaled], list(program.scales)
+        for i, (row, b) in enumerate(zip(tableau, program.scaled_rhs)):
+            row[n + i] = dens[i]
             if b:
-                tableau[i][n + m] = b
+                row[end] = b
     else:
         program = start.program
         if program.rows is not rows or program.rhs != tuple(rhs):
@@ -90,51 +108,57 @@ def maximize(objective, rows, rhs, start=None) -> LPSolution:
         if n != program.width:
             raise ValueError("objective length must match row width")
         basis = list(start.basis)
-        tableau = [dict(row) for row in start.tableau]
+        tableau, dens = list(map(dict, start.tableau)), list(start.denominators)
+        if not {int}.issuperset(map(type, chain.from_iterable(map(dict.values, tableau)))):
+            for i, row in enumerate(tableau):
+                tableau[i], dens[i] = _integral(row, dens[i])
 
-    end = n + m  # the b column
     cost = {j: c for j, c in enumerate(objective) if c}
-    z = {j: -c for j, c in cost.items()}
-    for var, row in zip(basis, tableau):
-        if var in cost:
-            for j, a in row.items():
-                z[j] = z.get(j, ZERO) + cost[var] * a
+    costed = [(cost[var], row, d) for var, row, d in zip(basis, tableau, dens) if var in cost]
+    zden = math.lcm(*(c.denominator for c in cost.values()),
+                    *(c.denominator * d for c, _, d in costed))
+    z = {j: -c.numerator * (zden // c.denominator) for j, c in cost.items()}
+    for c, row, d in costed:
+        factor = c.numerator * (zden // (c.denominator * d))
+        for j, a in row.items():
+            z[j] = z.get(j, 0) + factor * a
+    z, zden = _lowest({j: v for j, v in z.items() if v}, zden)
 
     iterations = 0
     while True:
         col = min((j for j, v in z.items() if v < 0 and j < end), default=None)
         if col is None:
             break
-        pivot_row = None
+        pivot_row = None  # Bland's ratio test: b_i / a_i compared by cross-multiplying
         for i, row in enumerate(tableau):
             a = row.get(col)
             if a is not None and a > 0:
-                ratio = row.get(end, ZERO) / a
+                b = row.get(end, 0)
                 if (
                     pivot_row is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[pivot_row])
+                    or b * best_a < best_b * a
+                    or (b * best_a == best_b * a and basis[i] < basis[pivot_row])
                 ):
-                    best_ratio = ratio
-                    pivot_row = i
+                    best_a, best_b, pivot_row = a, b, i
         if pivot_row is None:
             ray = {col: ONE} if col < n else {}
-            for var, row in zip(basis, tableau):
+            for var, row, d in zip(basis, tableau, dens):
                 if var < n and row.get(col):
-                    ray[var] = -row[col]
+                    ray[var] = Fraction(-row[col], d)
             _certify_ray(program, cost, ray)
             raise Unbounded(f"column {col} has no limiting row")
-        _pivot(tableau, z, pivot_row, col)
+        z, zden = _pivot(tableau, dens, z, zden, pivot_row, col)
         basis[pivot_row] = col
         iterations += 1
 
-    primal = {var: row[end] for var, row in zip(basis, tableau) if var < n and end in row}
-    duals = {j - n: v for j, v in z.items() if n <= j < end and v}
-    value = z.get(end, ZERO)
+    primal = {var: Fraction(row[end], d)
+              for var, row, d in zip(basis, tableau, dens) if var < n and end in row}
+    duals = {j - n: Fraction(v, zden) for j, v in z.items() if n <= j < end}
+    value = Fraction(z.get(end, 0), zden)
     _certify_optimum(program, cost, primal, duals, value)
     x = [primal.get(j, ZERO) for j in range(n)]
     y = [duals.get(i, ZERO) for i in range(m)]
-    return LPSolution(value, x, iterations, y, tuple(basis), tuple(tableau), program)
+    return LPSolution(value, x, iterations, y, tuple(basis), tuple(tableau), tuple(dens), program)
 
 
 def _program(rows, rhs, n) -> _Program:
@@ -157,31 +181,52 @@ def _program(rows, rhs, n) -> _Program:
     return _Program(rows, rhs, n, scales, scaled, scaled_rhs)
 
 
-def _pivot(tableau, z, pr, pc):
-    prow = tableau[pr]
-    pivot = prow[pc]
-    if pivot != 1:
-        inv = ONE / pivot
-        for j, v in prow.items():
-            prow[j] = v * inv
-    entries = list(prow.items())
+def _integral(row, d):
+    """An edited start's row over d, whose entries are not all ints, rescaled
+    to int numerators; the certificate then judges the solve's result."""
+    row = {j: Fraction(v) for j, v in row.items() if v}
+    scale = math.lcm(*(v.denominator for v in row.values()))
+    return _lowest({j: int(v * scale) for j, v in row.items()}, d * scale)
+
+
+def _lowest(row, d):
+    """Numerators ``row`` over d > 0, divided by the gcd of d and all of them."""
+    g = math.gcd(d, *row.values())
+    if g == 1:
+        return row, d
+    return {j: v // g for j, v in row.items()}, d // g
+
+
+def _pivot(tableau, dens, z, zden, pr, pc):
+    """Pivot on (pr, pc) in place; returns the new reduced-cost row and its denominator.
+
+    The pivot row N_r becomes N_r over p = N_r[pc], and every row i with
+    f = N_i[pc] != 0 becomes (p N_i - f N_r) over d_i p.  N_r holds d_r at its
+    basic column, so gcd(p, N_r) = gcd(d_r, N_r) = 1 keeps the pivot row in
+    lowest terms."""
+    entries = list(tableau[pr].items())
+    p = dens[pr] = tableau[pr][pc]
     for i, row in enumerate(tableau):
         factor = row.get(pc)
         if factor and i != pr:
-            _subtract(row, factor, entries)
+            tableau[i], dens[i] = _eliminate(row, dens[i], factor, entries, p)
     factor = z.get(pc)
     if factor:
-        _subtract(z, factor, entries)
+        return _eliminate(z, zden, factor, entries, p)
+    return z, zden
 
 
-def _subtract(row, factor, entries):
-    """row -= factor * (the pivot row's nonzero ``entries``), dropping zeros."""
+def _eliminate(row, d, factor, entries, p):
+    """(p * row - factor * pivot row ``entries``) over d * p, zeros dropped, in lowest terms."""
+    if p != 1:
+        row = {j: p * v for j, v in row.items()}
     for j, v in entries:
-        new = row.get(j, ZERO) - factor * v
+        new = row.get(j, 0) - factor * v
         if new:
             row[j] = new
         else:
             del row[j]
+    return _lowest(row, d * p)
 
 
 def _over_common_denominator(values):

@@ -177,11 +177,26 @@ def critical_ratio_closed_form(gamma, alpha, k: int) -> Fraction:
 
 
 def limit_ratio(gamma, alpha) -> float:
-    """Large-k limit of the ratio: (alpha/gamma) * e**alpha / (e**alpha - 1)."""
+    """Large-k limit of the ratio: (alpha/gamma) * e**alpha / (e**alpha - 1).
+
+    Needs gamma > 0 and alpha > 0, and a limit that floats can compute: a tiny
+    alpha makes e**alpha - 1 vanish, and a huge alpha/gamma overflows.
+    """
     gamma = as_fraction(gamma)
     alpha = as_fraction(alpha)
-    ea = math.exp(float(alpha))
-    return float(alpha / gamma) * ea / (ea - 1)
+    for name, value in (("gamma", gamma), ("alpha", alpha)):
+        if value <= 0:
+            raise ParameterError(f"{name} must be > 0, got {value}")
+    try:
+        ea = math.exp(min(float(alpha), 709))  # e**709 is about the largest float power
+        limit = float(alpha / gamma) * ea / (ea - 1)
+        if math.isinf(limit):  # only alpha/gamma * e**alpha overflowed: divide first
+            limit = float(alpha / gamma) * (ea / (ea - 1))
+    except (OverflowError, ZeroDivisionError):
+        limit = math.nan
+    if not math.isfinite(limit):
+        raise ParameterError("gamma and alpha put the large-k limit outside the float range")
+    return limit
 
 
 def make_ratio_separator(gamma) -> SetFunctionOracle:

@@ -327,6 +327,13 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
                      id="gk-closed-form-too-long"),
         pytest.param(["ratio-table", "--family", "critical", "--k", "1000000"], None,
                      "k=1000000: the exact closed form has more than", id="huge-k"),
+        pytest.param(["ratio-table", "--family", "critical", "--params", '{"gamma": "0"}',
+                      "--k", "3"], None, "gamma must be > 0, got 0", id="zero-gamma"),
+        pytest.param(["ratio-table", "--family", "gk", "--params", '{"alpha": 0}', "--k", "3"],
+                     None, "alpha must be > 0, got 0", id="gk-zero-alpha"),
+        pytest.param(["ratio-table", "--family", "critical", "--params",
+                      '{"gamma": "1/' + "7" * 4000 + '"}', "--k", "3"], None,
+                     "put the large-k limit outside the float range", id="tiny-gamma"),
         pytest.param(["trace", "--family", "critical", "--params", '{"gamma": "1"}'], None,
                      "missing key 'alpha'", id="missing-key"),
         pytest.param(["trace", "--family", "mystery"], None, "unknown family tag 'mystery'",

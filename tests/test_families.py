@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,22 @@ class TestClosedForms:
         assert abs(ga.limit_ratio(1, 1) - 1.581976706) < 1e-8
         assert abs(ga.limit_ratio(1, 2) - 2.313035285) < 1e-8
         assert abs(ga.limit_ratio(HALF, 1) - 2 * 1.581976706) < 1e-7
+
+    @pytest.mark.parametrize("gamma, alpha, fragment", [
+        (0, 1, "gamma must be > 0"),
+        (1, F(-1, 2), "alpha must be > 0"),
+        (F(1, 10**400), 1, "outside the float range"),  # alpha/gamma overflows a float
+        (1, F(1, 10**20), "outside the float range"),  # e**alpha - 1 rounds to 0
+    ])
+    def test_limit_refuses_what_floats_cannot_compute(self, gamma, alpha, fragment):
+        with pytest.raises(ga.ParameterError, match=fragment):
+            ga.limit_ratio(gamma, alpha)
+
+    def test_limit_computed_where_alpha_over_gamma_times_e_to_alpha_overflows(self):
+        # e**-alpha is far below float precision here, so the limit is alpha/gamma
+        assert ga.limit_ratio(1, 705) == 705.0
+        assert ga.limit_ratio(HALF, 800) == 1600.0
+        assert ga.limit_ratio(F(1, 10**300), 30) == pytest.approx(3e301 / (1 - math.exp(-30)))
 
 
 class TestSeparators:

@@ -337,6 +337,26 @@ def test_each_solve_starts_from_the_last_optimum(monkeypatch):
     assert unbounded[0] is first[1] and last[0] is first[1]  # Unbounded keeps the start
 
 
+@pytest.mark.parametrize("alpha, k, run, expected, solves, pivots", [
+    (2, 2, lambda f: ga.approximation_ratio(f), (F(32, 15), 4), 255, 136),
+    (2, 3, lambda f: ga.greedy_adaptive(f, f.n).values[-1], F(2187, 32), 78, 450),
+], ids=["gk(2,2)-approximation-ratio", "gk(2,3)-greedy-adaptive"])
+def test_staircase_pivot_path_is_pinned(monkeypatch, alpha, k, run, expected, solves, pivots):
+    """Bland's rule fixes the pivot sequence of every warm solve, so a change to it
+    fails here even when every value still agrees."""
+    solve, counts = exactlp.maximize, [0, 0]
+
+    def spy(objective, rows, rhs, start=None):
+        solution = solve(objective, rows, rhs, start=start)
+        counts[0] += 1
+        counts[1] += solution.iterations
+        return solution
+
+    monkeypatch.setattr(exactlp, "maximize", spy)
+    assert run(ga.objective_oracle(ga.make_lower_bound_instance(alpha, k))) == expected
+    assert counts == [solves, pivots]
+
+
 @settings(max_examples=40, deadline=None)
 @given(flow_instances(max_commodities=1))
 def test_lp_agrees_with_max_flow_on_random_single_commodity(inst):
