@@ -112,7 +112,9 @@ def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
     """(in-scope X sets, f's value table scaled to ints by the LCM of its
     denominators, that LCM), once the sweep's steps are within budget.
 
-    Non-monotone f is refused with a set X and an element e that lowers f(X).
+    The table and the monotonicity verdict are the oracle's own, built on its
+    first audit and kept (``SetFunctionOracle.scaled_table``).  Non-monotone f
+    is refused on every call, with a set X and an element e that lowers f(X).
     """
     n = f.n
     if scope not in ("weak", "strong"):
@@ -124,18 +126,14 @@ def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
     else:
         trace = greedy_adaptive(f, n, tie)
         x_sets = trace.chain[: saturation_point(trace) + 1]
-    values = f.table()
-    scale = math.lcm(*(v.denominator for v in values))
-    table = [v.numerator * (scale // v.denominator) for v in values]
-    for e in range(n):
-        bit = 1 << e
-        lower = (x for x in range(len(table)) if not x & bit and table[x | bit] < table[x])
-        x_set = next(lower, None)
-        if x_set is not None:
-            raise ParameterError(
-                f"{f.name} is not monotone: adding element {e} to X={list(indices_of(x_set))} "
-                f"lowers its value; the audits need monotone f"
-            )
+    table, scale = f.scaled_table()
+    decrease = f.first_decrease()
+    if decrease is not None:
+        x_set, e = decrease
+        raise ParameterError(
+            f"{f.name} is not monotone: adding element {e} to X={list(indices_of(x_set))} "
+            f"lowers its value; the audits need monotone f"
+        )
     return x_sets, table, scale
 
 

@@ -33,6 +33,7 @@ TiePolicy = Union[str, Sequence[int]]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MAX_STEPS = 1 << 24
+_UNDECIDED = object()
 
 
 class InvalidCardinality(ValueError):
@@ -145,8 +146,14 @@ class SetFunctionOracle:
     """A deterministic nonnegative set function, queried by bitmask.
 
     Results are memoized, which doubles as the purity contract: two queries
-    for the same subset return the identical Fraction.  This type does not
-    check monotonicity; the augmentability audits refuse non-monotone input.
+    for the same subset return the identical Fraction.
+
+    The exhaustive sweeps read ``scaled_table()``: the 2**n values as ints
+    over one scale, the lcm of their denominators, built from ``table()`` on
+    first use and kept, so the audits and ``optimum_profile`` on one oracle
+    share one build.  ``first_decrease()`` decides monotonicity once on that
+    table and keeps the verdict; this type refuses nothing itself, the
+    augmentability audits refuse non-monotone input on every call.
     """
 
     def __init__(self, ground: GroundSet, fn: Callable[[int], Fraction], name: str = "f"):
@@ -154,6 +161,8 @@ class SetFunctionOracle:
         self.name = name
         self._fn = fn
         self._cache: dict[int, Fraction] = {}
+        self._scaled: tuple[tuple[int, ...], int] | None = None
+        self._decrease = _UNDECIDED  # then (X, e) or None, see first_decrease
 
     @property
     def n(self) -> int:
@@ -178,8 +187,34 @@ class SetFunctionOracle:
         """All 2**n values, indexed by mask, read through the memo."""
         return [self.value(mask) for mask in range(1 << self.n)]
 
+    def scaled_table(self) -> tuple[tuple[int, ...], int]:
+        """(values, scale): f(X) * scale at index X, with scale the lcm of the
+        denominators of all 2**n values; built once, then shared."""
+        if self._scaled is None:
+            values = self.table()
+            scale = math.lcm(*(v.denominator for v in values))
+            self._scaled = tuple(v.numerator * (scale // v.denominator) for v in values), scale
+        return self._scaled
+
+    def first_decrease(self) -> tuple[int, int] | None:
+        """(X, e) with f(X + e) < f(X), for the least such e and then the least
+        X, or None when f is monotone; decided once, on ``scaled_table()``."""
+        if self._decrease is _UNDECIDED:
+            self._decrease = _first_decrease(self.scaled_table()[0], self.n)
+        return self._decrease
+
     def __repr__(self):
         return f"SetFunctionOracle({self.name}, n={self.n})"
+
+
+def _first_decrease(table, n: int) -> tuple[int, int] | None:
+    for e in range(n):
+        bit = 1 << e
+        lower = (x for x in range(len(table)) if not x & bit and table[x | bit] < table[x])
+        x_set = next(lower, None)
+        if x_set is not None:
+            return x_set, e
+    return None
 
 
 def tie_preference(tie: TiePolicy, n: int) -> list[int]:
@@ -319,19 +354,20 @@ def optimum_profile(f: SetFunctionOracle) -> list[OptimumRecord]:
     """Exact optima for every cardinality bound 0..n in one sweep of 2**n subsets."""
     n = f.n
     require_budget(1 << n, f"optimum sweep over n={n}")
-    by_size: list[tuple[Fraction, int] | None] = [None] * (n + 1)
-    for mask, value in enumerate(f.table()):
+    table, scale = f.scaled_table()  # ints over one scale compare as the values do
+    by_size: list[tuple[int, int] | None] = [None] * (n + 1)
+    for mask, value in enumerate(table):
         c = mask.bit_count()
         entry = by_size[c]
         if entry is None or _better(value, mask, entry[0], entry[1]):
             by_size[c] = (value, mask)
-    profile = [OptimumRecord(0, 0, by_size[0][0])]
     best_value, best_mask = by_size[0]
+    profile = [OptimumRecord(0, 0, Fraction(best_value, scale))]
     for k in range(1, n + 1):
         v, m = by_size[k]
         if _better(v, m, best_value, best_mask):
             best_value, best_mask = v, m
-        profile.append(OptimumRecord(k, best_mask, best_value))
+        profile.append(OptimumRecord(k, best_mask, Fraction(best_value, scale)))
     return profile
 
 

@@ -95,27 +95,41 @@ def _closed_eval(params: CriticalParams, gains: list[Fraction]):
     # the value is linear in the A-sum (its slope has a fixed sign), and for a
     # fixed A-sum it increases with the block size, so nothing else can win.
     # The B-block contributes only when b_1 is included.
+    #
+    # So the value reads two things from a mask: its A-part, and the B-block
+    # size when b_1 is present (0 otherwise; with b_1 it is at least 1).  Each
+    # (A-part, size) key is evaluated once into a dict filled lazily: a full
+    # table costs at most 2**k * (k+1) evaluations for its 4**k masks, and a
+    # greedy trace at large k builds nothing of size 2**k.
     k, alpha = params.k, params.alpha
     a_mask = (1 << k) - 1
     blocks = [params.curve(c) / k for c in range(k + 1)]
+    memo: dict[int, Fraction] = {}
 
-    def evaluate(mask: int) -> Fraction:
+    def reduced(a_bits: int, size: int) -> Fraction:
         a_sum = Fraction(0)
-        bits = mask & a_mask
-        while bits:
-            low = bits & -bits
+        while a_bits:
+            low = a_bits & -a_bits
             a_sum += gains[low.bit_length() - 1]
-            bits ^= low
+            a_bits ^= low
         best = a_sum
-        b_part = mask >> k
-        if b_part & 1:
-            block = blocks[b_part.bit_count()]
+        if size:
+            block = blocks[size]
             if block > best:
                 best = block
             combined = block * (1 - alpha * a_sum) + a_sum
             if combined > best:
                 best = combined
         return best
+
+    def evaluate(mask: int) -> Fraction:
+        b_part = mask >> k
+        size = b_part.bit_count() if b_part & 1 else 0
+        key = (mask & a_mask) | size << k
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = reduced(mask & a_mask, size)
+        return value
 
     return evaluate
 

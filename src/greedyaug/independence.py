@@ -22,6 +22,7 @@ from .core import (
     as_fraction,
     greedy_adaptive,
     indices_of,
+    iter_submasks,
     require_budget,
     saturation_point,
 )
@@ -90,26 +91,6 @@ class IndependenceSystem:
                         f"{indices_of(mask ^ low)} is not"
                     )
                 probe ^= low
-
-    def bases_of(self, mask: int) -> list[int]:
-        """All inclusion-maximal independent subsets of ``mask``."""
-        out = []
-        sub = mask
-        while True:
-            if self.independent(sub):
-                rest = mask & ~sub
-                maximal = True
-                while rest:
-                    low = rest & -rest
-                    if self.independent(sub | low):
-                        maximal = False
-                        break
-                    rest ^= low
-                if maximal:
-                    out.append(sub)
-            if sub == 0:
-                return out
-            sub = (sub - 1) & mask
 
 
 def free_system(weights: Sequence, name: str = "free") -> IndependenceSystem:
@@ -185,27 +166,60 @@ class RankQuotientResult:
 
 
 def rank_quotient(sys: IndependenceSystem) -> RankQuotientResult:
-    """Exact min over X of (smallest basis of X) / (largest basis of X), 0/0 := 1."""
+    """Exact min over X of (smallest basis of X) / (largest basis of X), 0/0 := 1.
+
+    The sweep enumerates bases, not the submasks of every X.  Let ext(I) be
+    the set of e outside I with I + e independent.  An independent I is a
+    basis of X exactly when I <= X <= I | D(I), where D(I) is the complement
+    of I | ext(I):
+
+    * if I is a basis of X, then I <= X, and every e in X \\ I has I + e
+      dependent (I is maximal in X), so X \\ I avoids ext(I);
+    * conversely, if I <= X and X \\ I avoids ext(I), then I is an
+      independent subset of X that no element of X extends: a basis of X.
+
+    So each independent I takes n probes for ext(I), then one step for each
+    of the 2**|D(I)| sets X it is a basis of.  I and D(I) are disjoint, so
+    there are at most 3**n (basis, X) pairs in all.
+
+    Ties: among the smallest (and among the largest) bases of X of equal
+    size, the larger mask is kept, and the witness is the first X in mask
+    order with the least quotient.  ``checked_sets`` is 2**n.
+
+    The budget counts 3**n pairs, n*2**n probes and the n*2**n lookups of
+    ``validate``, before the first predicate call.
+    """
     n = sys.n
-    require_budget(n * 3**n, f"rank quotient over n={n}")  # the bases of every subset
+    require_budget(3**n + (n << n + 1), f"rank quotient over n={n}")
     sys.validate()
-    best = RankQuotientResult(Fraction(1), 0, 0, 0, 0)
-    checked = 0
-    for mask in range(1 << n):
-        checked += 1
-        small = large = None
-        for basis in sys.bases_of(mask):
-            c = basis.bit_count()
-            if small is None or c < small[0]:
-                small = (c, basis)
-            if large is None or c > large[0]:
-                large = (c, basis)
-        if large[0] == 0:
-            continue  # only the empty basis: 0/0 counts as 1
-        q = Fraction(small[0], large[0])
-        if q < best.quotient:
-            best = RankQuotientResult(q, mask, small[1], large[1], 0)
-    return RankQuotientResult(best.quotient, best.witness_set, best.small_basis, best.large_basis, checked)
+    full = (1 << n) - 1
+    small = [n + 1] * (1 << n)  # size of the smallest basis of X found so far
+    large = [-1] * (1 << n)  # every X has a basis: the empty set is independent
+    small_basis = [0] * (1 << n)
+    large_basis = [0] * (1 << n)
+    for basis in range(1 << n):  # increasing, so on equal size the larger mask comes last
+        if not sys.independent(basis):
+            continue
+        c = basis.bit_count()
+        blocked = probe = full ^ basis  # D(I): the elements outside I that I + e rejects
+        while probe:
+            low = probe & -probe
+            if sys.independent(basis | low):
+                blocked ^= low
+            probe ^= low
+        for extra in iter_submasks(blocked):
+            x_set = basis | extra
+            if c <= small[x_set]:
+                small[x_set], small_basis[x_set] = c, basis
+            if c >= large[x_set]:
+                large[x_set], large_basis[x_set] = c, basis
+    num, den, witness = 1, 1, 0
+    for x_set in range(1 << n):  # an X with only the empty basis reads 0 < 0: 0/0 is 1
+        if small[x_set] * den < num * large[x_set]:
+            num, den, witness = small[x_set], large[x_set], x_set
+    return RankQuotientResult(
+        Fraction(num, den), witness, small_basis[witness], large_basis[witness], 1 << n
+    )
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greedyaug as ga
+from greedyaug import cli
 from conftest import build_monotone_oracle
 
 F = Fraction
@@ -195,6 +196,32 @@ class TestMonotonicityPrecondition:
     def test_non_monotone_refused_with_witness(self, audit):
         with pytest.raises(ga.ParameterError, match=r"adding element 0 to X=\[1\] lowers"):
             audit(_non_monotone())
+
+    def test_non_monotone_refused_on_every_call(self):
+        f = _non_monotone()
+        for audit in (ga.weak_submodularity_ratio, lambda f: ga.min_alpha_for(f, 1),
+                      lambda f: ga.check_alpha_augmentable(f, 1)):
+            with pytest.raises(ga.ParameterError, match=r"adding element 0 to X=\[1\] lowers"):
+                audit(f)
+
+    def test_one_table_and_one_monotonicity_check_per_bundle(self, monkeypatch, capsys):
+        builds, checks = [], []
+        table, first_decrease = ga.SetFunctionOracle.table, ga.core._first_decrease
+
+        def counted_table(f):
+            builds.append(f.name)
+            return table(f)
+
+        def counted_check(values, n):
+            checks.append(n)
+            return first_decrease(values, n)
+
+        monkeypatch.setattr(ga.SetFunctionOracle, "table", counted_table)
+        monkeypatch.setattr(ga.core, "_first_decrease", counted_check)
+        params = '{"gamma": "1/2", "alpha": "1", "k": 6}'
+        assert cli.main(["audit", "--family", "critical", "--params", params, "--scope", "weak"]) == 0
+        assert '"min_alpha": "1"' in capsys.readouterr().out
+        assert len(builds) == 1 and checks == [12]
 
     def test_parameters_checked_before_monotonicity(self):
         f = _non_monotone()

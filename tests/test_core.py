@@ -86,6 +86,15 @@ def test_brute_force_lexicographic_ties():
     assert record.best_set == ga.mask_of([0])
 
 
+def test_optimum_profile_tie_is_lexicographic_not_mask_order():
+    # {1, 2} (0b0110) comes first in mask order, but (0, 3) < (1, 2) wins the tie
+    top = {0b0110: F(3, 2), 0b1001: F(3, 2)}
+    f = ga.SetFunctionOracle(ga.GroundSet(4), lambda m: top.get(m, F(m.bit_count(), 3)))
+    record = ga.optimum_profile(f)[2]
+    assert (record.best_set, record.best_value) == (0b1001, F(3, 2))
+    assert type(record.best_value) is F
+
+
 def test_brute_force_guard():
     f = ga.make_modular([1] * 25)
     with pytest.raises(ga.GroundSetTooLarge):
@@ -138,7 +147,7 @@ SWEEPS = [
     pytest.param(ga.weighted_rank_oracle, lambda n: n * 2**n, 20, id="weighted_rank_oracle"),
     pytest.param(ga.check_exchange_equivalences, lambda n: n * 2**n, 20,
                  id="check_exchange_equivalences"),
-    pytest.param(ga.rank_quotient, lambda n: n * 3**n, 13, id="rank_quotient"),
+    pytest.param(ga.rank_quotient, lambda n: 3**n + 2 * n * 2**n, 16, id="rank_quotient"),
 ]
 SYSTEM_SWEEPS = {ga.weighted_rank_oracle, ga.check_exchange_equivalences, ga.rank_quotient}
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -76,11 +77,23 @@ class TestCriticalFunction:
             assert trace.gains[:k] == tuple(CriticalParams(gamma, alpha, k).step_gains())
 
     def test_closed_matches_exhaustive_up_to_k4(self):
-        for gamma, alpha, k in ((F(1), F(1), 4), (HALF, F(2), 4), (F(1, 4), F(1), 3)):
+        for gamma, alpha, k in ((F(1), F(1), 4), (HALF, F(2), 4), (F(1, 4), F(1), 3),
+                                (F(1), F(4, 3), 4), (HALF, F(3, 2), 4)):
             closed = ga.make_critical_function(gamma, alpha, k)
             exhaustive = ga.make_critical_function(gamma, alpha, k, method="exhaustive")
             for mask in range(1 << (2 * k)):
                 assert closed.value(mask) == exhaustive.value(mask), (gamma, alpha, k, mask)
+
+    def test_trace_at_large_k_builds_nothing_of_size_two_to_the_k(self):
+        tracemalloc.start()
+        try:
+            trace = ga.greedy_adaptive(ga.make_critical_function(1, 1, 60), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.picks == (0, 1, 2)
+        assert trace.gains == tuple(CriticalParams(F(1), F(1), 60).step_gains()[:3])
+        assert peak < 1 << 20  # a few hundred memoized values, not 2**60 of anything
 
     def test_measured_ratio_equals_closed_form_sample(self):
         for gamma, alpha, k in ((F(1), F(1), 2), (HALF, F(1), 3), (F(1), F(2), 4)):

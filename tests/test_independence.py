@@ -1,7 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greedyaug as ga
 
@@ -62,7 +65,59 @@ class TestSystems:
             ga.weighted_rank_oracle(ga.free_system([1] * 20))
 
 
+def reference_bases_of(system, mask):
+    """All inclusion-maximal independent subsets of mask, in decreasing submask order."""
+    out = []
+    for sub in ga.core.iter_submasks(mask):
+        if system.independent(sub) and not any(
+            system.independent(sub | 1 << e) for e in ga.indices_of(mask & ~sub)
+        ):
+            out.append(sub)
+    return out
+
+
+def reference_rank_quotient(system):
+    """The per-X scan over every submask: first-met bases win size ties, first X wins."""
+    best = ga.RankQuotientResult(F(1), 0, 0, 0, 0)
+    for mask in range(1 << system.n):
+        bases = reference_bases_of(system, mask)
+        small = min(bases, key=int.bit_count)
+        large = max(bases, key=int.bit_count)
+        if large and F(small.bit_count(), large.bit_count()) < best.quotient:
+            q = F(small.bit_count(), large.bit_count())
+            best = ga.RankQuotientResult(q, mask, small, large, 0)
+    return replace(best, checked_sets=1 << system.n)
+
+
+closure_systems = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5),
+    )
+)
+
+
 class TestRankQuotient:
+    @settings(max_examples=80, deadline=None)
+    @given(closure_systems)
+    def test_matches_per_set_scan_on_closure_systems(self, data):
+        n, generators = data
+        system = ga.downward_closure_system(n, generators, [1] * n)
+        assert ga.rank_quotient(system) == reference_rank_quotient(system)
+
+    def test_matches_per_set_scan_on_matroids_and_separators(self):
+        systems = [ga.uniform_matroid(n, r) for n in range(1, 7) for r in range(n + 1)]
+        systems += [ga.make_rank_separator(F(1, 2), 1, 1, 2)[0],
+                    ga.make_rank_separator(F(1, 2), 1, 3, 5)[0]]
+        for system in systems:
+            assert ga.rank_quotient(system) == reference_rank_quotient(system), system.name
+
+    def test_size_ties_keep_the_larger_mask(self):
+        # the full set has bases 0b111110, 0b011111 (size 5) and 0b101001, 0b100101 (size 3)
+        system = ga.downward_closure_system(6, [0b011111, 0b100101, 0b101001, 0b111110], [1] * 6)
+        assert ga.rank_quotient(system) == ga.RankQuotientResult(F(3, 5), 0b111111, 0b101001,
+                                                                 0b111110, 64)
+
     def test_uniform_matroid_quotient_one(self):
         assert ga.rank_quotient(ga.uniform_matroid(5, 2)).quotient == 1
 
