@@ -11,9 +11,10 @@ denominator d_i > 0, kept in lowest terms (gcd(d_i, N_i) = 1).  A cold row
 is L_i [A_i | e_i | b_i] over L_i, L_i the lcm of the row's denominators.
 A pivot on (r, c) makes the pivot row N_r over p = N_r[c] > 0 (in lowest
 terms, as N_r holds d_r at its basic column), and each row with
-f = N_i[c] != 0 becomes (p N_i - f N_r) over d_i p, reduced by one gcd;
-other rows are not touched.  Fractions are built only for the returned
-value, x and y.
+f = N_i[c] != 0 becomes a new dict (p N_i - f N_r) over d_i p, reduced by
+one gcd; other rows are not touched.  Between its inputs and its returned
+value a solve is integer-only: it builds one Fraction, the value, and a
+solution's x and y are built from the stored numerators when first read.
 
 The pivots follow Bland's rule: the entering column is the first one with a
 negative reduced cost, and the ratio test (b_i/a_i, compared by
@@ -25,20 +26,27 @@ Warm start: ``maximize(..., start=previous)`` continues from the optimal
 basis of an earlier solve over the same ``rows`` and ``rhs``.  Only the
 objective differs, and the constraints alone decide which bases are primal
 feasible, so the solve recomputes the reduced-cost row for the new objective
-from that basis and pivots on.  A start's tableau is copied, never changed,
-so one solution can seed any number of later solves.  A start whose rows
-hold entries that are not ints (only an edited solution has them) has those
-rows rescaled to ints over a larger denominator as it is copied, and the
-certificate below then judges whatever the solve finds.
+from that basis and pivots on.  The solve shares the start's row dicts
+rather than copying them: a pivot builds a new dict for each row it
+eliminates in (the pivot row keeps its dict, over its new denominator), and
+no solve ever changes a row it did not create, so one solution can seed any
+number of later solves.  A start whose rows hold entries that are not ints
+(only an edited solution has them) has every row rescaled to ints over a
+larger denominator, into new dicts, and the certificate below then judges
+whatever the solve finds.
 
-Certificate: before returning, every solve checks, on an integer copy of A
-(row i times the lcm L_i of its denominators, built once at the cold start
-and shared along the chain of warm starts) and independently of the
-tableau, that x >= 0, Ax <= b, the duals y (the slack columns' reduced
-costs) satisfy y >= 0 and A^T y >= c, and b.y = c.x = value.  By weak
-duality the value is then the optimum.  The optimum of an LP is unique, so a
-value cannot depend on the basis a solve started from; only x, y and the
-pivot count can.  ``Unbounded`` is checked the same way, with a ray d >= 0,
+Certificate: before returning, every solve checks weak duality in integers,
+on the numerators the tableau already holds, against an integer copy of A
+(row i times the lcm L_i of its denominators, with a column index, built
+once at the cold start and shared along the chain of warm starts) and
+independently of the rest of the tableau.  x_j = N_i[b] / d_i for the basic
+columns, over the lcm of those d_i; y_i = z[n + i] / zden, the slack columns'
+reduced costs over the reduced-cost row's denominator.  The checks are
+x >= 0; Ax <= b on the rows a basic column meets, and b >= 0 on the others
+(where Ax = 0); y >= 0; A^T y >= c; and c.x = b.y = value.  By weak duality
+the value is then the optimum.  The optimum of an LP is unique, so a value
+cannot depend on the basis a solve started from; only x, y and the pivot
+count can.  ``Unbounded`` is checked the same way, with a ray d >= 0,
 Ad <= 0, c.d > 0 (x = 0 is feasible as b >= 0).  A failed check raises
 ``CertificateError``: an uncertified result is never returned.
 """
@@ -48,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -72,20 +81,44 @@ class _Program(NamedTuple):
     scales: tuple[int, ...]  # L_i, the lcm of the denominators in row i and b_i
     scaled: tuple[tuple[tuple[int, int], ...], ...]  # (column, L_i A_ij) nonzeros
     scaled_rhs: tuple[int, ...]  # L_i b_i
+    columns: tuple[tuple[tuple[int, int], ...], ...]  # column j's (row i, L_i A_ij) nonzeros
 
 
 @dataclass
 class LPSolution:
-    """An optimum with its certificate (x, y), and the basis a later solve may start from."""
+    """An optimum with its certificate (x, y), and the basis a later solve may start from.
+
+    ``x`` and ``y`` are built from the stored numerators when first read.  A
+    warm-started solution shares rows with its start: each row dict that its
+    pivots did not rebuild is the start's own object, and no solve changes it.
+    """
 
     value: Fraction
-    x: list[Fraction]
     iterations: int
-    y: list[Fraction]
     basis: tuple[int, ...]  # basic column per row; column n + i is row i's slack
     tableau: tuple[dict, ...]  # B^-1 [A | I | b], row i as int nonzeros over denominators[i]
     denominators: tuple[int, ...]
+    reduced: dict  # the reduced-cost row's int nonzeros over reduced_denominator
+    reduced_denominator: int
     program: _Program
+
+    @cached_property
+    def x(self) -> list[Fraction]:
+        n, end = self.program.width, self.program.width + len(self.basis)
+        x = [ZERO] * n
+        for var, row, d in zip(self.basis, self.tableau, self.denominators):
+            if var < n and end in row:
+                x[var] = Fraction(row[end], d)
+        return x
+
+    @cached_property
+    def y(self) -> list[Fraction]:
+        n, m = self.program.width, len(self.basis)
+        y = [ZERO] * m
+        for j, v in self.reduced.items():
+            if n <= j < n + m:
+                y[j - n] = Fraction(v, self.reduced_denominator)
+        return y
 
 
 def maximize(objective, rows, rhs, start=None) -> LPSolution:
@@ -108,18 +141,19 @@ def maximize(objective, rows, rhs, start=None) -> LPSolution:
         if n != program.width:
             raise ValueError("objective length must match row width")
         basis = list(start.basis)
-        tableau, dens = list(map(dict, start.tableau)), list(start.denominators)
+        tableau, dens = list(start.tableau), list(start.denominators)
         if not {int}.issuperset(map(type, chain.from_iterable(map(dict.values, tableau)))):
             for i, row in enumerate(tableau):
                 tableau[i], dens[i] = _integral(row, dens[i])
 
     cost = {j: c for j, c in enumerate(objective) if c}
+    cden = math.lcm(*(c.denominator for c in cost.values()))
+    cost = {j: c.numerator * (cden // c.denominator) for j, c in cost.items()}  # c = cost / cden
     costed = [(cost[var], row, d) for var, row, d in zip(basis, tableau, dens) if var in cost]
-    zden = math.lcm(*(c.denominator for c in cost.values()),
-                    *(c.denominator * d for c, _, d in costed))
-    z = {j: -c.numerator * (zden // c.denominator) for j, c in cost.items()}
+    zden = cden * math.lcm(*(d for _, _, d in costed))
+    z = {j: -c * (zden // cden) for j, c in cost.items()}
     for c, row, d in costed:
-        factor = c.numerator * (zden // (c.denominator * d))
+        factor = c * (zden // (cden * d))
         for j, a in row.items():
             z[j] = z.get(j, 0) + factor * a
     z, zden = _lowest({j: v for j, v in z.items() if v}, zden)
@@ -141,24 +175,23 @@ def maximize(objective, rows, rhs, start=None) -> LPSolution:
                 ):
                     best_a, best_b, pivot_row = a, b, i
         if pivot_row is None:
-            ray = {col: ONE} if col < n else {}
-            for var, row, d in zip(basis, tableau, dens):
-                if var < n and row.get(col):
-                    ray[var] = Fraction(-row[col], d)
+            steps = [(var, -row[col], d)
+                     for var, row, d in zip(basis, tableau, dens) if var < n and row.get(col)]
+            rden = math.lcm(*(d for _, _, d in steps))
+            ray = {var: v * (rden // d) for var, v, d in steps}  # the ray's numerators over rden
+            if col < n:
+                ray[col] = rden
             _certify_ray(program, cost, ray)
             raise Unbounded(f"column {col} has no limiting row")
         z, zden = _pivot(tableau, dens, z, zden, pivot_row, col)
         basis[pivot_row] = col
         iterations += 1
 
-    primal = {var: Fraction(row[end], d)
-              for var, row, d in zip(basis, tableau, dens) if var < n and end in row}
-    duals = {j - n: Fraction(v, zden) for j, v in z.items() if n <= j < end}
-    value = Fraction(z.get(end, 0), zden)
-    _certify_optimum(program, cost, primal, duals, value)
-    x = [primal.get(j, ZERO) for j in range(n)]
-    y = [duals.get(i, ZERO) for i in range(m)]
-    return LPSolution(value, x, iterations, y, tuple(basis), tuple(tableau), tuple(dens), program)
+    primal = [(var, row[end], d)
+              for var, row, d in zip(basis, tableau, dens) if var < n and end in row]
+    _certify_optimum(program, cost, cden, primal, z, zden)
+    return LPSolution(Fraction(z.get(end, 0), zden), iterations, tuple(basis), tuple(tableau),
+                      tuple(dens), z, zden, program)
 
 
 def _program(rows, rhs, n) -> _Program:
@@ -178,12 +211,16 @@ def _program(rows, rhs, n) -> _Program:
         for row, scale in zip(rows, scales)
     )
     scaled_rhs = tuple(int(b * scale) for b, scale in zip(rhs, scales))
-    return _Program(rows, rhs, n, scales, scaled, scaled_rhs)
+    columns = [[] for _ in range(n)]
+    for i, row in enumerate(scaled):
+        for j, a in row:
+            columns[j].append((i, a))
+    return _Program(rows, rhs, n, scales, scaled, scaled_rhs, tuple(map(tuple, columns)))
 
 
 def _integral(row, d):
     """An edited start's row over d, whose entries are not all ints, rescaled
-    to int numerators; the certificate then judges the solve's result."""
+    to int numerators in a new dict; the certificate then judges the solve's result."""
     row = {j: Fraction(v) for j, v in row.items() if v}
     scale = math.lcm(*(v.denominator for v in row.values()))
     return _lowest({j: int(v * scale) for j, v in row.items()}, d * scale)
@@ -198,7 +235,8 @@ def _lowest(row, d):
 
 
 def _pivot(tableau, dens, z, zden, pr, pc):
-    """Pivot on (pr, pc) in place; returns the new reduced-cost row and its denominator.
+    """Pivot on (pr, pc), replacing the entries of ``tableau`` and ``dens`` it changes;
+    returns the new reduced-cost row and its denominator.  No row dict is changed.
 
     The pivot row N_r becomes N_r over p = N_r[pc], and every row i with
     f = N_i[pc] != 0 becomes (p N_i - f N_r) over d_i p.  N_r holds d_r at its
@@ -217,9 +255,9 @@ def _pivot(tableau, dens, z, zden, pr, pc):
 
 
 def _eliminate(row, d, factor, entries, p):
-    """(p * row - factor * pivot row ``entries``) over d * p, zeros dropped, in lowest terms."""
-    if p != 1:
-        row = {j: p * v for j, v in row.items()}
+    """A new dict (p * row - factor * pivot row ``entries``) over d * p, zeros dropped,
+    in lowest terms; ``row`` itself is not changed, as it may be shared."""
+    row = {j: p * v for j, v in row.items()} if p != 1 else dict(row)
     for j, v in entries:
         new = row.get(j, 0) - factor * v
         if new:
@@ -229,44 +267,60 @@ def _eliminate(row, d, factor, entries, p):
     return _lowest(row, d * p)
 
 
-def _over_common_denominator(values):
-    """``(D, {key: v * D})`` for a dict of nonzero rationals, D the lcm of their denominators."""
-    d = math.lcm(*(v.denominator for v in values.values()))
-    return d, {key: v.numerator * (d // v.denominator) for key, v in values.items()}
+def _column_products(program, ints):
+    """L_i (A v)_i for every row i, where ``ints`` holds the nonzeros of v times
+    one positive denominator; only the rows that a column of v meets are visited."""
+    products = [0] * len(program.scales)
+    for j, v in ints.items():
+        for i, a in program.columns[j]:
+            products[i] += a * v
+    return products
 
 
-def _row_products(program, ints):
-    """L_i (A v)_i for every row i, where ``ints`` holds the nonzeros of v * D."""
-    return [sum(a * ints[j] for j, a in row if j in ints) for row in program.scaled]
+def _certify_optimum(program, cost, cden, primal, z, zden):
+    """Weak duality in integers: x and y feasible, with c.x = b.y = value.
 
-
-def _certify_optimum(program, cost, primal, duals, value):
-    """Weak duality in integers: x and y feasible, with c.x = b.y = value."""
-    d, xs = _over_common_denominator(primal)
-    e = math.lcm(*(v.denominator * program.scales[i] for i, v in duals.items()))
-    us = {i: v.numerator * (e // (v.denominator * program.scales[i])) for i, v in duals.items()}
-    dual = {}  # e * A^T y, as us[i] = e * y_i / L_i
-    for i, u in us.items():
+    ``cost`` holds the objective's nonzeros times ``cden``; ``primal`` holds
+    (j, N_i[b], d_i) for each basic column j < n with x_j != 0; ``z`` is the
+    reduced-cost row over ``zden``, so y_i = z[n + i] / zden and the value is
+    z[b] / zden."""
+    n, m = program.width, len(program.scales)
+    scales, rhs = program.scales, program.scaled_rhs
+    value = z.get(n + m, 0)
+    xden = math.lcm(*(d for _, _, d in primal))
+    xs = {j: v * (xden // d) for j, v, d in primal}  # x = xs / xden
+    duals = {j - n: v for j, v in z.items() if n <= j < n + m}  # y = duals / zden
+    yden = math.lcm(*(scales[i] for i in duals))
+    by = 0  # yden * zden * b.y
+    excess = [0] * n  # cden * yden * zden * (A^T y - c)
+    for i, y in duals.items():
+        u = y * (yden // scales[i])  # yden * zden * y_i / L_i
+        by += u * rhs[i]
+        u *= cden
         for j, a in program.scaled[i]:
-            dual[j] = dual.get(j, 0) + u * a
+            excess[j] += u * a
+    for j, c in cost.items():
+        excess[j] -= c * yden * zden
     if not (
-        all(v > 0 for v in xs.values())
-        and all(u > 0 for u in us.values())
-        and all(ax <= b * d for ax, b in zip(_row_products(program, xs), program.scaled_rhs))
-        and all(dual.get(j, 0) * c.denominator >= c.numerator * e for j, c in cost.items())
-        and all(v >= 0 for j, v in dual.items() if j not in cost)
-        and sum(c * primal[j] for j, c in cost.items() if j in primal) == value
-        and Fraction(sum(u * program.scaled_rhs[i] for i, u in us.items()), e) == value
+        min(xs.values(), default=0) >= 0
+        # a row that x misses has Ax = 0 <= b, as long as b >= 0
+        and all(ax <= b * xden for ax, b in zip(_column_products(program, xs), rhs))
+        and min(duals.values(), default=0) >= 0
+        and min(excess, default=0) >= 0
+        and sum(c * xs[j] for j, c in cost.items() if j in xs) * zden == value * cden * xden
+        and by == value * yden
     ):
-        raise CertificateError(f"value {value} failed its optimality certificate")
+        raise CertificateError(
+            f"value {Fraction(value, zden)} failed its optimality certificate")
 
 
 def _certify_ray(program, cost, ray):
-    """x = 0 is feasible (b >= 0), so a ray d >= 0 with Ad <= 0 and c.d > 0 proves it."""
-    _, ds = _over_common_denominator(ray)
+    """x = 0 is feasible (b >= 0), so a ray d >= 0 with Ad <= 0 and c.d > 0 proves
+    it; ``ray`` holds d's nonzeros times one positive denominator."""
     if not (
-        all(v > 0 for v in ds.values())
-        and all(ad <= 0 for ad in _row_products(program, ds))
+        all(v > 0 for v in ray.values())
+        and max(_column_products(program, ray), default=0) <= 0
+        and min(program.scaled_rhs, default=0) >= 0
         and sum(c * ray[j] for j, c in cost.items() if j in ray) > 0
     ):
         raise CertificateError("an unboundedness ray failed its certificate")

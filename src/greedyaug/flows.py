@@ -236,9 +236,7 @@ def evaluate_objective(inst: FlowInstance, sink_mask: int) -> Fraction:
     if columns > MAX_LP_COLUMNS:
         raise LPSizeError(f"{columns} variables exceed guard {MAX_LP_COLUMNS}")
     rows, rhs, first_demand = inst.lp_model
-    objective = [exactlp.ZERO] * first_demand + [
-        exactlp.ONE if sink_mask >> j & 1 else exactlp.ZERO for j in range(len(inst.sinks))
-    ]
+    objective = [0] * first_demand + [sink_mask >> j & 1 for j in range(len(inst.sinks))]
     try:
         solution = exactlp.maximize(objective, rows, rhs, start=getattr(inst, "_lp_start", None))
     except exactlp.Unbounded as exc:
@@ -283,7 +281,10 @@ def max_flow(inst: FlowInstance, commodity: int, sink_mask: int) -> Fraction:
     Shortest-augmenting-path search on the residual network with a super
     sink.  Infinite capacities are replaced by one plus the total finite
     capacity over all commodities and sinks, which no single commodity's
-    useful flow can exceed in a well-posed instance.
+    useful flow can exceed in a well-posed instance.  The search runs on
+    ints: every capacity of the commodity, that stand-in included, is scaled
+    by the lcm of their denominators, and only the returned total is a
+    Fraction, ``Fraction(total, scale)``.
     """
     if not 0 <= commodity < inst.commodities:
         raise ParameterError(f"commodity {commodity} outside 0..{inst.commodities - 1}")
@@ -292,36 +293,34 @@ def max_flow(inst: FlowInstance, commodity: int, sink_mask: int) -> Fraction:
     if not sink_mask:
         return Fraction(0)
 
-    finite_total = Fraction(0)
-    for row in inst.capacities:
-        for c in row:
-            if c != INF:
-                finite_total += c
-    big = 1 + len(inst.sinks) * finite_total
+    caps = inst.capacities[commodity]
+    if INF in caps:
+        finite_total = Fraction(0)
+        for row in inst.capacities:
+            for c in row:
+                if c != INF:
+                    finite_total += c
+        big = 1 + len(inst.sinks) * finite_total
+        caps = [big if c == INF else c for c in caps]
+    scale = math.lcm(*(c.denominator for c in caps))
+    caps = [c.numerator * (scale // c.denominator) for c in caps]
 
     nodes = inst.num_vertices + 1
     super_sink = inst.num_vertices
-    residual: list[dict[int, Fraction]] = [dict() for _ in range(nodes)]
+    residual: list[dict[int, int]] = [dict() for _ in range(nodes)]
 
     def add(u, v, cap):
-        residual[u][v] = residual[u].get(v, Fraction(0)) + cap
-        residual[v].setdefault(u, Fraction(0))
+        residual[u][v] = residual[u].get(v, 0) + cap
+        residual[v].setdefault(u, 0)
 
-    for e, (u, v) in enumerate(inst.arcs):
-        cap = inst.capacities[commodity][e]
-        if cap == 0:
-            continue
-        add(u, v, big if cap == INF else cap)
-    super_cap = 1 + sum(
-        (big if c == INF else c)
-        for row in [inst.capacities[commodity]]
-        for c in row
-        if c != 0
-    )
+    for (u, v), cap in zip(inst.arcs, caps):
+        if cap:
+            add(u, v, cap)
+    super_cap = scale + sum(caps)
     for i in indices_of(sink_mask):
         add(inst.sinks[i], super_sink, super_cap)
 
-    total = Fraction(0)
+    total = 0
     while True:
         parent = {inst.source: None}
         queue = deque([inst.source])
@@ -332,7 +331,7 @@ def max_flow(inst: FlowInstance, commodity: int, sink_mask: int) -> Fraction:
                     parent[v] = u
                     queue.append(v)
         if super_sink not in parent:
-            return total
+            return Fraction(total, scale)
         path = []
         v = super_sink
         while parent[v] is not None:

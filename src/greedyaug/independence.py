@@ -51,6 +51,7 @@ class IndependenceSystem:
             raise MalformedSystem("weights must be nonnegative")
         self._predicate = predicate
         self._cache: dict[int, bool] = {0: bool(predicate(0))}
+        self._verdict: str | None = None  # validate's finding: "" if well formed
 
     @property
     def n(self) -> int:
@@ -76,9 +77,17 @@ class IndependenceSystem:
 
         Exhaustive over all 2**n masks, O(n * 2**n) predicate lookups: no more
         than the rank oracle and ``rank_quotient`` that call it already cost.
+        The verdict is kept, so a repeat call makes no lookup, and a malformed
+        system is refused with the same message on every call.
         """
+        if self._verdict is None:
+            self._verdict = self._closure_violation()
+        if self._verdict:
+            raise MalformedSystem(self._verdict)
+
+    def _closure_violation(self) -> str:
         if not self.independent(0):
-            raise MalformedSystem(f"{self.name}: empty set must be independent")
+            return f"{self.name}: empty set must be independent"
         for mask in range(1, 1 << self.n):
             if not self.independent(mask):
                 continue
@@ -86,11 +95,10 @@ class IndependenceSystem:
             while probe:
                 low = probe & -probe
                 if not self.independent(mask ^ low):
-                    raise MalformedSystem(
-                        f"{self.name}: {indices_of(mask)} independent but "
-                        f"{indices_of(mask ^ low)} is not"
-                    )
+                    return (f"{self.name}: {indices_of(mask)} independent but "
+                            f"{indices_of(mask ^ low)} is not")
                 probe ^= low
+        return ""
 
 
 def free_system(weights: Sequence, name: str = "free") -> IndependenceSystem:

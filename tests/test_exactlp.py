@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -161,17 +163,44 @@ def test_warm_chain_matches_cold_solves(lp, keep_bounding_row, data):
     width = len(lp[0])
     objectives = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width),
                                     min_size=1, max_size=5))
-    start = None
+    start, chain = None, []
     for objective in objectives:
-        snapshot = None if start is None else [dict(row) for row in start.tableau]
         cold, warm = outcome(objective, rows, rhs), outcome(objective, rows, rhs, start)
         assert (cold is None) == (warm is None)
-        if start is not None:
-            assert [dict(row) for row in start.tableau] == snapshot  # copied, never changed
         if warm is not None:
             assert warm.value == cold.value
             assert_certified(objective, rows, rhs, warm)
             start = warm
+            chain.append((warm, snapshot(warm)))
+    for solution, before in chain:  # rows are shared along the chain, never changed
+        assert snapshot(solution) == before
+
+
+def snapshot(solution):
+    """Copies of the stored rows, and x and y built afresh from them."""
+    fresh = dataclasses.replace(solution)  # x and y are built when first read
+    return ([dict(row) for row in solution.tableau], solution.denominators, fresh.x, fresh.y)
+
+
+def test_warm_solves_share_rows_and_change_none():
+    """Pivots with p == 1 and with p != 1: a warm solve replaces each row it
+    eliminates in and shares every other row dict, the pivot row's included."""
+    rows, rhs = [[F(1), F(1)], [F(1), F(0)], [F(0), F(2)]], [F(4), F(2), F(3)]
+    chain = [exactlp.maximize([F(0), F(0)], rows, rhs)]  # the all-slack tableau
+    before = [snapshot(chain[0])]
+    # x0 enters at row 1 (p = 1), then x1 enters at row 2 (p = 2); row 0 meets both
+    for objective, (pivot_row, col, p) in (([F(1), F(0)], (1, 0, 1)),
+                                           ([F(0), F(1)], (2, 1, 2))):
+        start = chain[-1]
+        warm = exactlp.maximize(objective, rows, rhs, start=start)
+        assert (warm.iterations, warm.basis[pivot_row], warm.denominators[pivot_row]) == (1, col, p)
+        replaced = [i for i, (new, old) in enumerate(zip(warm.tableau, start.tableau))
+                    if new is not old]
+        assert replaced == [0]
+        chain.append(warm)
+        before.append(snapshot(warm))
+    assert [snapshot(solution) for solution in chain] == before
+    assert [solution.value for solution in chain] == [0, 2, F(3, 2)]
 
 
 def test_resolving_from_own_optimum_takes_no_pivots():
@@ -216,3 +245,49 @@ def test_tampered_start_cannot_fake_unboundedness():
         row[0] = F(-1)  # column 0 now looks unlimited by every row
     with pytest.raises(exactlp.CertificateError):
         exactlp.maximize([F(1), F(0)], rows, rhs, start=sol)
+
+
+def certify(x, y, value, objective=(F(1), F(1)), rows=((F(1), F(1)), (F(0), F(1))),
+            rhs=(F(2), F(3)), scaled_rhs=None):
+    """Run the optimality certificate on a hand-set x, y and value, as the
+    numerators a solve would hand it; ``scaled_rhs`` replaces the program's L_i b_i."""
+    n, m = len(objective), len(rows)
+    program = exactlp._program(rows, rhs, n)
+    if scaled_rhs is not None:
+        program = program._replace(scaled_rhs=scaled_rhs)
+    cden = math.lcm(*(c.denominator for c in objective))
+    cost = {j: int(c * cden) for j, c in enumerate(objective) if c}
+    primal = [(j, v.numerator, v.denominator) for j, v in enumerate(x) if v]
+    zden = math.lcm(value.denominator, *(v.denominator for v in y))
+    z = {n + i: int(v * zden) for i, v in enumerate(y) if v}
+    z[n + m] = int(value * zden)
+    exactlp._certify_optimum(program, cost, cden, primal, z, zden)
+
+
+UNCOSTED = dict(objective=(F(1), F(0)), rows=((F(1), F(-1)), (F(1), F(1))), rhs=(F(1), F(3)))
+
+
+@pytest.mark.parametrize("x, y, value, lp", [
+    ((F(2), F(0)), (F(1), F(0)), F(2), {}),
+    ((F(1), F(1)), (F(1), F(0)), F(2), {}),
+    ((F(2), F(1)), (F(1, 2), F(1, 2)), F(2), UNCOSTED),
+])
+def test_optimum_certificate_passes(x, y, value, lp):
+    certify(x, y, value, **lp)
+
+
+@pytest.mark.parametrize("x, y, value, lp", [
+    ((F(3), F(-1)), (F(1), F(0)), F(2), {}),  # only x1 < 0 fails
+    ((F(2), F(1)), (F(1), F(1, 3)), F(3), {}),  # x0 + x1 = 3 > 2 is the only failure
+    # x1 = 0, so no basic column meets row 1; there b = -1 < 0 = Ax
+    ((F(2), F(0)), (F(1), F(0)), F(2), dict(scaled_rhs=(2, -1))),
+    ((F(2), F(0)), (F(2), F(-2, 3)), F(2), {}),  # A^T y >= c and b.y = 2 hold
+    ((F(2), F(0)), (F(1, 2), F(1, 3)), F(2), {}),  # A^T y = (1/2, 5/6) < c
+    ((F(1), F(0)), (F(1), F(0)), F(1), UNCOSTED),  # (A^T y)_1 = -1 < 0 on a zero cost
+    ((F(1), F(0)), (F(1), F(0)), F(2), {}),  # c.x = 1, though b.y = 2
+    ((F(2), F(0)), (F(1), F(1)), F(2), {}),  # b.y = 5, though c.x = 2
+], ids=["x>=0", "Ax<=b", "Ax<=b-row-no-basic-column-meets", "y>=0", "ATy>=c",
+        "ATy>=c-zero-cost", "cx=value", "by=value"])
+def test_optimum_certificate_catches_each_clause(x, y, value, lp):
+    with pytest.raises(exactlp.CertificateError):
+        certify(x, y, value, **lp)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -340,7 +341,8 @@ def test_each_solve_starts_from_the_last_optimum(monkeypatch):
 @pytest.mark.parametrize("alpha, k, run, expected, solves, pivots", [
     (2, 2, lambda f: ga.approximation_ratio(f), (F(32, 15), 4), 255, 136),
     (2, 3, lambda f: ga.greedy_adaptive(f, f.n).values[-1], F(2187, 32), 78, 450),
-], ids=["gk(2,2)-approximation-ratio", "gk(2,3)-greedy-adaptive"])
+    (2, 4, lambda f: ga.greedy_adaptive(f, f.n).values[-1], F(524288, 6561), 136, 972),
+], ids=["gk(2,2)-approximation-ratio", "gk(2,3)-greedy-adaptive", "gk(2,4)-greedy-adaptive"])
 def test_staircase_pivot_path_is_pinned(monkeypatch, alpha, k, run, expected, solves, pivots):
     """Bland's rule fixes the pivot sequence of every warm solve, so a change to it
     fails here even when every value still agrees."""
@@ -370,3 +372,16 @@ def test_lp_agrees_with_max_flow_on_random_single_commodity(inst):
             assert flow > finite_total
         else:
             assert value == flow
+
+
+def test_max_flow_on_mixed_denominators_and_an_unlimited_arc():
+    """Capacities over 2, 3 and 6 and an inf arc behind a finite one: max_flow
+    equals the one-commodity LP and returns a Fraction in lowest terms."""
+    arcs = ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3))
+    inst = ga.FlowInstance(4, arcs, 0, (2, 3), ((F(1, 2), INF, F(1, 3), F(1, 6), F(1, 2)),))
+    flows = [ga.max_flow(inst, 0, mask) for mask in range(4)]
+    assert flows == [0, F(5, 6), F(2, 3), 1]
+    for mask, flow in enumerate(flows):
+        assert type(flow) is Fraction and math.gcd(flow.numerator, flow.denominator) == 1
+        if mask:
+            assert flow == cold_objective(inst, mask) == ga.evaluate_objective(inst, mask)

@@ -49,6 +49,44 @@ class TestSystems:
         with pytest.raises(ga.MalformedSystem):
             ga.weighted_rank_oracle(bad)
 
+    def test_validate_keeps_its_verdict(self, monkeypatch):
+        """The rank oracle validates; rank_quotient on the same system then looks up
+        only what its own sweep needs, as on a fresh system minus the closure scan."""
+
+        def counted(system):
+            lookups = [0]
+            lookup = system.independent
+
+            def independent(mask):
+                lookups[0] += 1
+                return lookup(mask)
+
+            monkeypatch.setattr(system, "independent", independent)
+            return lookups
+
+        system = ga.uniform_matroid(6, 3)
+        lookups = counted(system)
+        ga.weighted_rank_oracle(system)
+        scan = lookups[0]
+        assert scan > 1 << system.n
+        system.validate()
+        assert lookups[0] == scan
+        result = ga.rank_quotient(system)
+        fresh = ga.uniform_matroid(6, 3)
+        fresh_lookups = counted(fresh)
+        assert ga.rank_quotient(fresh) == result
+        assert lookups[0] - scan == fresh_lookups[0] - scan
+
+    def test_malformed_system_is_refused_on_every_call(self):
+        bad = ga.IndependenceSystem(ga.GroundSet(3), lambda mask: mask != 0b10, [1, 1, 1])
+        messages = []
+        for call in (bad.validate, bad.validate, lambda: ga.weighted_rank_oracle(bad),
+                     lambda: ga.rank_quotient(bad)):
+            with pytest.raises(ga.MalformedSystem) as refusal:
+                call()
+            messages.append(str(refusal.value))
+        assert messages == ["system: (0, 1) independent but (1,) is not"] * 4
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ga.MalformedSystem):
             ga.free_system([1, -1])
