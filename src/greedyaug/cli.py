@@ -278,11 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="greedyaug", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    instance = dict(help="path to a flow-instance JSON file")
+    tie = dict(default="low", choices=("low", "high"), help="tie policy")
+
     def common(p, scope=False, k=False):
         p.add_argument("--family", help="family tag (see gen-instance)")
-        p.add_argument("--instance", help="path to a flow-instance JSON file")
         p.add_argument("--params", help="JSON object of family/audit parameters")
-        p.add_argument("--tie", default="low", choices=("low", "high"), help="tie policy")
         p.add_argument("--out", help="output path (default: stdout)")
         if scope:
             p.add_argument("--scope", default="strong", choices=("weak", "strong"))
@@ -291,14 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="greedy chain as CSV")
     common(p_trace, k=True)
+    p_trace.add_argument("--instance", **instance)
+    p_trace.add_argument("--tie", **tie)
     p_trace.set_defaults(fn=cmd_trace)
 
     p_audit = sub.add_parser("audit", help="class audits as a JSON bundle")
     common(p_audit, scope=True)
+    p_audit.add_argument("--instance", **instance)
+    p_audit.add_argument("--tie", **tie)
     p_audit.set_defaults(fn=cmd_audit)
 
     p_table = sub.add_parser("ratio-table", help="measured and closed-form ratios per k")
     common(p_table, k=True)
+    p_table.add_argument("--tie", **tie)
     p_table.add_argument("--max-measure", type=int, help="largest ground size to measure exactly")
     p_table.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
     p_table.set_defaults(fn=cmd_ratio_table)

@@ -30,10 +30,9 @@ from that basis and pivots on.  The solve shares the start's row dicts
 rather than copying them: a pivot builds a new dict for each row it
 eliminates in (the pivot row keeps its dict, over its new denominator), and
 no solve ever changes a row it did not create, so one solution can seed any
-number of later solves.  A start whose rows hold entries that are not ints
-(only an edited solution has them) has every row rescaled to ints over a
-larger denominator, into new dicts, and the certificate below then judges
-whatever the solve finds.
+number of later solves.  A start is a solution that ``maximize`` returned,
+unmodified; anything else either raises or is judged by the certificate
+below.
 
 Certificate: before returning, every solve checks weak duality in integers,
 on the numerators the tableau already holds, against an integer copy of A
@@ -57,7 +56,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 ZERO = Fraction(0)
@@ -84,13 +82,14 @@ class _Program(NamedTuple):
     columns: tuple[tuple[tuple[int, int], ...], ...]  # column j's (row i, L_i A_ij) nonzeros
 
 
-@dataclass
+@dataclass(frozen=True)
 class LPSolution:
     """An optimum with its certificate (x, y), and the basis a later solve may start from.
 
-    ``x`` and ``y`` are built from the stored numerators when first read.  A
-    warm-started solution shares rows with its start: each row dict that its
-    pivots did not rebuild is the start's own object, and no solve changes it.
+    Frozen: its fields cannot be reassigned.  ``x`` and ``y`` are built from
+    the stored numerators when first read.  A warm-started solution shares
+    rows with its start: each row dict that its pivots did not rebuild is the
+    start's own object, and no solve changes it.
     """
 
     value: Fraction
@@ -122,8 +121,8 @@ class LPSolution:
 
 
 def maximize(objective, rows, rhs, start=None) -> LPSolution:
-    """max objective.x s.t. rows.x <= rhs, x >= 0, certified; ``start`` is an
-    earlier solution over the same ``rows`` object and ``rhs`` to continue from."""
+    """max objective.x s.t. rows.x <= rhs, x >= 0, certified; ``start`` is a
+    solution that ``maximize`` returned over the same ``rows`` object and ``rhs``."""
     n, m = len(objective), len(rows)
     end = n + m  # the b column
     if start is None:
@@ -142,9 +141,6 @@ def maximize(objective, rows, rhs, start=None) -> LPSolution:
             raise ValueError("objective length must match row width")
         basis = list(start.basis)
         tableau, dens = list(start.tableau), list(start.denominators)
-        if not {int}.issuperset(map(type, chain.from_iterable(map(dict.values, tableau)))):
-            for i, row in enumerate(tableau):
-                tableau[i], dens[i] = _integral(row, dens[i])
 
     cost = {j: c for j, c in enumerate(objective) if c}
     cden = math.lcm(*(c.denominator for c in cost.values()))
@@ -216,14 +212,6 @@ def _program(rows, rhs, n) -> _Program:
         for j, a in row:
             columns[j].append((i, a))
     return _Program(rows, rhs, n, scales, scaled, scaled_rhs, tuple(map(tuple, columns)))
-
-
-def _integral(row, d):
-    """An edited start's row over d, whose entries are not all ints, rescaled
-    to int numerators in a new dict; the certificate then judges the solve's result."""
-    row = {j: Fraction(v) for j, v in row.items() if v}
-    scale = math.lcm(*(v.denominator for v in row.values()))
-    return _lowest({j: int(v * scale) for j, v in row.items()}, d * scale)
 
 
 def _lowest(row, d):

@@ -300,16 +300,15 @@ def make_modular(weights) -> SetFunctionOracle:
 
 @dataclass
 class DescribedInstance:
-    """An oracle built from a JSON descriptor, with optional backing objects."""
+    """An oracle built from a JSON descriptor, and its independence system if it has one."""
 
     oracle: SetFunctionOracle
     system: IndependenceSystem | None = None
-    flow: flows.FlowInstance | None = None
 
 
 def describe_flow(inst: flows.FlowInstance) -> DescribedInstance:
-    """The sink-selection objective of a flow instance, with the instance attached."""
-    return DescribedInstance(flows.objective_oracle(inst), flow=inst)
+    """The sink-selection objective of a flow instance."""
+    return DescribedInstance(flows.objective_oracle(inst))
 
 
 @dataclass(frozen=True)

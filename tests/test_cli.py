@@ -418,6 +418,16 @@ def test_bad_input_exits_with_one_line(tmp_path, argv, instance, fragment):
     assert fragment in message
 
 
+@pytest.mark.parametrize("argv", [
+    ["ratio-table", "--family", "critical", "--instance", "x.json", "--k", "2"],
+    ["gen-instance", "--family", "two_sink", "--tie", "high"],
+], ids=["ratio-table-instance", "gen-instance-tie"])
+def test_flag_the_command_does_not_read_is_refused(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv)
+    assert excinfo.value.code == 2  # argparse's usage error
+
+
 # One sample descriptor per registered tag; a new tag needs a sample here.
 SAMPLES = {
     "critical": {"gamma": "1/2", "alpha": "1", "k": 3, "method": "exhaustive"},

@@ -224,9 +224,9 @@ def test_start_from_other_rows_refused():
 
 
 @pytest.mark.parametrize("edits", [
-    {(0, 4): F(3)}, {(1, 4): F(3)},  # b column: x moves off the optimum
-    {(0, 2): F(2)}, {(1, 3): F(2)},  # slack columns: y no longer matches
-    {(0, 2): F(0), (0, 3): F(1)},  # y = (0, 5): b.y = c.x = 10, but A^T y < c
+    {(0, 4): 3}, {(1, 4): 3},  # b column: x moves off the optimum
+    {(0, 2): 2}, {(1, 3): 2},  # slack columns: y no longer matches
+    {(0, 2): 0, (0, 3): 1},  # y = (0, 5): b.y = c.x = 10, but A^T y < c
 ], ids=["b-row0", "b-row1", "slack-row0", "slack-row1", "dual-infeasible"])
 def test_tampered_start_raises_instead_of_returning_a_wrong_value(edits):
     objective, rows, rhs = [F(3), F(2)], [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)]
@@ -242,9 +242,19 @@ def test_tampered_start_cannot_fake_unboundedness():
     rows, rhs = [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)]
     sol = exactlp.maximize([F(0), F(0)], rows, rhs)  # all-slack basis, no pivots
     for row in sol.tableau:
-        row[0] = F(-1)  # column 0 now looks unlimited by every row
+        row[0] = -1  # column 0 now looks unlimited by every row
     with pytest.raises(exactlp.CertificateError):
         exactlp.maximize([F(1), F(0)], rows, rhs, start=sol)
+
+
+def test_start_edited_to_hold_a_fraction_raises():
+    """A start holds int numerators only: one edited to hold a Fraction makes
+    the solve raise rather than return a value."""
+    objective, rows, rhs = [F(3), F(2)], [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)]
+    sol = exactlp.maximize(objective, rows, rhs)
+    sol.tableau[0][4] = F(3)
+    with pytest.raises((TypeError, exactlp.CertificateError)):
+        exactlp.maximize(objective, rows, rhs, start=sol)
 
 
 def certify(x, y, value, objective=(F(1), F(1)), rows=((F(1), F(1)), (F(0), F(1))),

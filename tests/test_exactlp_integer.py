@@ -25,10 +25,6 @@ def assert_integer_rows(sol):
         assert not any(var in row for var in sol.basis if var != sol.basis[i])
 
 
-def as_fractions(sol):
-    return [{j: F(v, d) for j, v in row.items()} for row, d in zip(sol.tableau, sol.denominators)]
-
-
 @settings(max_examples=150, deadline=None)
 @given(bounded_lps(), st.data())
 def test_every_solve_of_a_warm_chain_keeps_integer_rows(lp, data):
@@ -65,15 +61,3 @@ def test_staircase_sweep_keeps_integer_rows(monkeypatch):
     assert len(solutions) == (1 << len(inst.sinks)) - 1
     for sol in solutions:
         assert_integer_rows(sol)
-
-
-def test_start_with_fraction_entries_of_the_same_values_solves_alike():
-    """Rows handed back as Fractions over denominator 1 are rescaled to ints on copy."""
-    objective, rows, rhs = [F(1), F(1)], [[F(3), F(1)], [F(1), F(3)]], [F(1), F(1)]
-    cold = exactlp.maximize(objective, rows, rhs)
-    assert any(d > 1 for d in cold.denominators)
-    cold.tableau, cold.denominators = tuple(as_fractions(cold)), (1,) * len(cold.tableau)
-    for other in ([F(2), F(1)], objective):
-        warm = exactlp.maximize(other, rows, rhs, start=cold)
-        assert_integer_rows(warm)
-        assert warm.value == exactlp.maximize(other, rows, rhs).value

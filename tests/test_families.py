@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import greedyaug as ga
-from greedyaug.families import CriticalParams
+from greedyaug.families import FAMILIES, CriticalParams
 
 F = Fraction
 HALF = F(1, 2)
@@ -178,9 +178,9 @@ class TestDescriptors:
 
     def test_flow_descriptor(self):
         inst = ga.make_two_sink_instance(2)
-        bundle = ga.oracle_from_descriptor({"family": "flow", "instance": inst.to_json_dict()})
-        assert bundle.oracle.value(0b11) == 3
-        assert bundle.flow == inst
+        descriptor = {"family": "flow", "instance": inst.to_json_dict()}
+        assert ga.oracle_from_descriptor(descriptor).oracle.value(0b11) == 3
+        assert FAMILIES["flow"].flow(descriptor) == inst
 
     def test_unknown_family(self):
         with pytest.raises(ga.ParameterError):
