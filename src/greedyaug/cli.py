@@ -53,6 +53,8 @@ def _parse_params(text: str | None) -> dict:
         params = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SystemExit(f"--params is not valid JSON (line {exc.lineno}, col {exc.colno}): {exc.msg}")
+    except RecursionError as exc:
+        raise SystemExit(f"--params is nested too deeply: {exc}")
     if not isinstance(params, dict):
         raise SystemExit("--params must be a JSON object")
     return params
@@ -64,7 +66,7 @@ def _load_instance(args) -> "flows.FlowInstance | None":
     try:
         with open(args.instance) as handle:
             return flows.FlowInstance.from_json(handle.read())
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise SystemExit(f"--instance {args.instance}: {exc}")
 
 

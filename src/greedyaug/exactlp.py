@@ -1,9 +1,10 @@
 """Sparse, warm-startable, certified exact simplex: max c.x s.t. Ax <= b, x >= 0.
 
 Requires b >= 0, so the all-slack basis is feasible and no phase 1 is needed
-(the flow objective always builds such programs).  The tableau
-B^-1 [A | I | b] keeps one dict of nonzeros per row, with b in column n + m;
-the flow models have about 2.5% nonzero entries.
+(the flow objective always builds such programs).  A row of A is a mapping
+``{column: coefficient}`` of its nonzeros; the dense objective fixes n.  The
+tableau B^-1 [A | I | b] keeps one dict of nonzeros per row, with b in column
+n + m; the ``gk(2,4)`` flow model has 328 nonzeros in 152 rows of 128 columns.
 
 Pivoting is in integers (Edmonds 1967, Bareiss 1968): every row, the
 reduced-cost row included, is a dict of int numerators N_i over one int
@@ -59,7 +60,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Unbounded(ArithmeticError):
@@ -121,8 +121,8 @@ class LPSolution:
 
 
 def maximize(objective, rows, rhs, start=None) -> LPSolution:
-    """max objective.x s.t. rows.x <= rhs, x >= 0, certified; ``start`` is a
-    solution that ``maximize`` returned over the same ``rows`` object and ``rhs``."""
+    """max objective.x s.t. rows.x <= rhs, x >= 0, certified; a row maps its nonzero columns
+    to coefficients.  ``start`` is a solution ``maximize`` returned over ``rows`` and ``rhs``."""
     n, m = len(objective), len(rows)
     end = n + m  # the b column
     if start is None:
@@ -196,14 +196,14 @@ def _program(rows, rhs, n) -> _Program:
         raise ValueError("rhs length must match row count")
     if any(b < 0 for b in rhs):
         raise ValueError("this solver requires b >= 0")
-    if any(len(row) != n for row in rows):
-        raise ValueError("row width must match objective length")
+    if any(not 0 <= j < n for row in rows for j in row):
+        raise ValueError(f"a row names a column outside 0..{n - 1}")
     scales = tuple(
-        math.lcm(b.denominator, *(a.denominator for a in row if a))
+        math.lcm(b.denominator, *(a.denominator for a in row.values() if a))
         for row, b in zip(rows, rhs)
     )
     scaled = tuple(
-        tuple((j, int(a * scale)) for j, a in enumerate(row) if a)
+        tuple((j, int(a * scale)) for j, a in row.items() if a)
         for row, scale in zip(rows, scales)
     )
     scaled_rhs = tuple(int(b * scale) for b, scale in zip(rhs, scales))

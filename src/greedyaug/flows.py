@@ -16,6 +16,8 @@ no optimum.  The model lets every non-source vertex absorb flow (excess >= 0)
 rather than conserve it, which changes no optimum either: such a preflow
 decomposes into paths from the source, and dropping the paths that end at
 internal vertices only lowers flows and leaves every sink's excess as it was.
+The rows are built from the arcs, and a vertex that no arc or sink demand
+touches has none, so isolated vertices cost nothing.
 
 Capacities may be infinite.  The LP simply omits capacity rows for such arcs
 (the objective stays bounded whenever the instance is well-posed, and the
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -50,6 +52,12 @@ MAX_LP_COLUMNS = 5000
 
 class LPSizeError(ValueError):
     """The objective LP would have more than ``MAX_LP_COLUMNS`` columns."""
+
+
+def _check_lp_size(arcs, commodities, sinks):
+    columns = arcs * commodities + sinks
+    if columns > MAX_LP_COLUMNS:
+        raise LPSizeError(f"{columns} variables exceed guard {MAX_LP_COLUMNS}")
 
 
 def _parse_capacity(token):
@@ -127,39 +135,30 @@ class FlowInstance:
         """``(rows, rhs, first_demand)`` of ``rows . x <= rhs``, shared by every selection.
 
         Columns: one flow per (commodity, arc) with positive capacity, then one
-        demand per sink in sink order, from column ``first_demand``.  Rows: one
-        capacity row per finite-capacity flow column, then per commodity and
-        non-source vertex v, ``outflow(v) - inflow(v) + d_v <= 0`` (d_v only
-        when v is a sink).  ``evaluate_objective`` keeps the last optimal
-        solution over these rows beside them, as ``_lp_start``.
+        demand per sink in sink order, from column ``first_demand``.  Rows, each
+        a ``{column: coefficient}`` mapping of its nonzeros: ``{var: 1}`` per
+        finite-capacity flow column, then per commodity and non-source vertex v
+        that a flow column or a sink demand touches (and no other),
+        ``outflow(v) - inflow(v) + d_v <= 0`` (d_v only when v is a sink).
+        ``evaluate_objective`` keeps the last optimal solution over these rows
+        beside them, as ``_lp_start``.
         """
         flow = [
             (i, e) for i, row in enumerate(self.capacities) for e, c in enumerate(row) if c != 0
         ]
-        width = len(flow) + len(self.sinks)
-        rows, rhs = [], []
+        rows, rhs, balance = [], [], {}  # balance: (commodity, vertex) -> row
         for var, (i, e) in enumerate(flow):
             if self.capacities[i][e] != INF:
-                rows.append([exactlp.ZERO] * width)
-                rows[-1][var] = exactlp.ONE
+                rows.append({var: 1})
                 rhs.append(self.capacities[i][e])
-        balance = [
-            [[exactlp.ZERO] * width for _ in range(self.num_vertices)]
-            for _ in range(self.commodities)
-        ]
-        for var, (i, e) in enumerate(flow):
-            u, v = self.arcs[e]
-            balance[i][u][var] += exactlp.ONE
-            balance[i][v][var] -= exactlp.ONE
-        for j, t in enumerate(self.sinks):
-            for per_vertex in balance:
-                per_vertex[t][len(flow) + j] = exactlp.ONE
-        for per_vertex in balance:
-            for v, row in enumerate(per_vertex):
+            for v, a in zip(self.arcs[e], (1, -1)):
                 if v != self.source:
-                    rows.append(row)
-                    rhs.append(exactlp.ZERO)
-        return tuple(map(tuple, rows)), tuple(rhs), len(flow)
+                    balance.setdefault((i, v), {})[var] = a
+        for j, t in enumerate(self.sinks):
+            for i in range(self.commodities):
+                balance.setdefault((i, t), {})[len(flow) + j] = 1
+        rows += (balance[key] for key in sorted(balance))  # commodity, then vertex
+        return tuple(rows), tuple(rhs) + (0,) * len(balance), len(flow)
 
     def vertex_label(self, v: int) -> str:
         return self.labels[v] if self.labels else f"v{v}"
@@ -232,9 +231,7 @@ def evaluate_objective(inst: FlowInstance, sink_mask: int) -> Fraction:
         raise ParameterError("sink mask outside the sink set")
     if not sink_mask:
         return Fraction(0)
-    columns = len(inst.arcs) * inst.commodities + len(inst.sinks)
-    if columns > MAX_LP_COLUMNS:
-        raise LPSizeError(f"{columns} variables exceed guard {MAX_LP_COLUMNS}")
+    _check_lp_size(len(inst.arcs), inst.commodities, len(inst.sinks))
     rows, rhs, first_demand = inst.lp_model
     objective = [0] * first_demand + [sink_mask >> j & 1 for j in range(len(inst.sinks))]
     try:
@@ -305,9 +302,8 @@ def max_flow(inst: FlowInstance, commodity: int, sink_mask: int) -> Fraction:
     scale = math.lcm(*(c.denominator for c in caps))
     caps = [c.numerator * (scale // c.denominator) for c in caps]
 
-    nodes = inst.num_vertices + 1
     super_sink = inst.num_vertices
-    residual: list[dict[int, int]] = [dict() for _ in range(nodes)]
+    residual: defaultdict[int, dict[int, int]] = defaultdict(dict)  # only the touched vertices
 
     def add(u, v, cap):
         residual[u][v] = residual[u].get(v, 0) + cap
@@ -386,6 +382,7 @@ def make_lower_bound_instance(alpha: int, k: int, epsilon=None) -> FlowInstance:
     if eps < 0:
         raise ParameterError("epsilon must be nonnegative")
     ak = alpha * k
+    _check_lp_size(ak * (ak + 3), alpha, 2 * ak)  # refuse before building any arc
     num_vertices = 1 + ak + 2 * ak
     source = 0
 

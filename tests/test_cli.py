@@ -358,6 +358,8 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
                      "rank must be a JSON integer, got 1.5", id="float-rank"),
         pytest.param(["gen-instance", "--family", "two_sink", "--params", '{"alpha": 2.7}'],
                      None, "alpha must be a JSON integer, got 2.7", id="float-alpha"),
+        pytest.param(["gen-instance", "--family", "gk", "--params", '{"alpha": 1, "k": 1000}'],
+                     None, "1005000 variables exceed guard 5000", id="gk-too-large"),
         pytest.param(["trace"], {**THREE_VERTEX_JSON, "source": True}, "source must be a JSON "
                      "integer, got True", id="bool-source"),
         pytest.param(["trace"], {**THREE_VERTEX_JSON, "arcs": [[1, 0], [1, 2], [0, True]]},
@@ -416,6 +418,27 @@ def test_bad_input_exits_with_one_line(tmp_path, argv, instance, fragment):
     message = excinfo.value.code
     assert isinstance(message, str) and "\n" not in message
     assert fragment in message
+
+
+DEEP = "[" * 5000  # deeper than the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["audit", "--family", "flow", "--params", '{"instance": ' + DEEP + "}"], "--params"),
+    (["gen-instance", "--family", "flow", "--params", '{"instance": ' + DEEP + "}"], "--params"),
+    (["trace", "--instance"], "--instance"),
+    (["audit", "--instance"], "--instance"),
+], ids=["audit-params", "gen-instance-params", "trace-instance", "audit-instance"])
+def test_deeply_nested_json_exits_with_one_line(tmp_path, argv, fragment):
+    if argv[-1] == "--instance":
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP)
+        argv = argv + [str(path)]
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv)
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(fragment) and "recursion" in message
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,6 +12,11 @@ from greedyaug import exactlp
 F = Fraction
 
 
+def sparse(rows):
+    """The ``{column: coefficient}`` nonzeros of dense rows, as ``maximize`` takes them."""
+    return [{j: a for j, a in enumerate(row) if a} for row in rows]
+
+
 def assert_certified(objective, rows, rhs, sol):
     """Re-check x and y with dense sums over rows, rhs and objective alone."""
     x, y = sol.x, sol.y
@@ -27,7 +32,7 @@ def assert_certified(objective, rows, rhs, sol):
 
 def test_basic_two_variable_lp():
     objective, rows, rhs = [F(3), F(2)], [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)]
-    sol = exactlp.maximize(objective, rows, rhs)
+    sol = exactlp.maximize(objective, sparse(rows), rhs)
     assert sol.value == 10
     assert sol.x == [F(2), F(2)]
     assert sol.y == [F(2), F(1)]
@@ -35,14 +40,14 @@ def test_basic_two_variable_lp():
 
 
 def test_zero_objective_is_immediate():
-    sol = exactlp.maximize([F(0)], [[F(1)]], [F(5)])
+    sol = exactlp.maximize([F(0)], sparse([[F(1)]]), [F(5)])
     assert sol.value == 0 and sol.iterations == 0
 
 
 def test_fractional_optimum_is_exact():
     sol = exactlp.maximize(
         [F(1), F(1)],
-        [[F(3), F(1)], [F(1), F(3)]],
+        sparse([[F(3), F(1)], [F(1), F(3)]]),
         [F(1), F(1)],
     )
     assert sol.value == F(1, 2)
@@ -53,11 +58,11 @@ def test_degenerate_cycling_instance_terminates():
     # Classic degenerate instance on which naive most-improving pivoting cycles.
     sol = exactlp.maximize(
         [F(3, 4), F(-150), F(1, 50), F(-6)],
-        [
+        sparse([
             [F(1, 4), F(-60), F(-1, 25), F(9)],
             [F(1, 2), F(-90), F(-1, 50), F(3)],
             [F(0), F(0), F(1), F(0)],
-        ],
+        ]),
         [F(0), F(0), F(1)],
     )
     assert sol.value == F(1, 20)
@@ -65,7 +70,7 @@ def test_degenerate_cycling_instance_terminates():
 
 def test_unbounded_raises():
     with pytest.raises(exactlp.Unbounded):
-        exactlp.maximize([F(1)], [[F(-1)]], [F(1)])
+        exactlp.maximize([F(1)], sparse([[F(-1)]]), [F(1)])
 
 
 def test_negative_rhs_rejected():
@@ -77,7 +82,7 @@ def test_equalities_as_inequality_pairs():
     # max x1 + x2 subject to x1 = x2 (two rows) and x1 + x2 <= 3
     sol = exactlp.maximize(
         [F(1), F(1)],
-        [[F(1), F(-1)], [F(-1), F(1)], [F(1), F(1)]],
+        sparse([[F(1), F(-1)], [F(-1), F(1)], [F(1), F(1)]]),
         [F(0), F(0), F(3)],
     )
     assert sol.value == 3
@@ -140,7 +145,7 @@ def bounded_lps(draw):
 @example(([F(3, 2), F(2)], [[F(1), F(1)], [F(2), F(-2)]], [F(1), F(0)]))
 def test_matches_vertex_enumeration(lp):
     objective, rows, rhs = lp
-    sol = exactlp.maximize(objective, rows, rhs)
+    sol = exactlp.maximize(objective, sparse(rows), rhs)
     assert sol.value == vertex_enumeration_optimum(objective, rows, rhs)
     assert_certified(objective, rows, rhs, sol)
 
@@ -160,12 +165,12 @@ def test_warm_chain_matches_cold_solves(lp, keep_bounding_row, data):
     if not keep_bounding_row:
         bound = rows.index([F(1)] * len(rows[0]))
         rows, rhs = rows[:bound] + rows[bound + 1:], rhs[:bound] + rhs[bound + 1:]
-    width = len(lp[0])
+    width, lp_rows = len(lp[0]), sparse(rows)
     objectives = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width),
                                     min_size=1, max_size=5))
     start, chain = None, []
     for objective in objectives:
-        cold, warm = outcome(objective, rows, rhs), outcome(objective, rows, rhs, start)
+        cold, warm = outcome(objective, lp_rows, rhs), outcome(objective, lp_rows, rhs, start)
         assert (cold is None) == (warm is None)
         if warm is not None:
             assert warm.value == cold.value
@@ -185,7 +190,7 @@ def snapshot(solution):
 def test_warm_solves_share_rows_and_change_none():
     """Pivots with p == 1 and with p != 1: a warm solve replaces each row it
     eliminates in and shares every other row dict, the pivot row's included."""
-    rows, rhs = [[F(1), F(1)], [F(1), F(0)], [F(0), F(2)]], [F(4), F(2), F(3)]
+    rows, rhs = sparse([[F(1), F(1)], [F(1), F(0)], [F(0), F(2)]]), [F(4), F(2), F(3)]
     chain = [exactlp.maximize([F(0), F(0)], rows, rhs)]  # the all-slack tableau
     before = [snapshot(chain[0])]
     # x0 enters at row 1 (p = 1), then x1 enters at row 2 (p = 2); row 0 meets both
@@ -204,7 +209,7 @@ def test_warm_solves_share_rows_and_change_none():
 
 
 def test_resolving_from_own_optimum_takes_no_pivots():
-    objective, rows, rhs = [F(1), F(1)], [[F(3), F(1)], [F(1), F(3)]], [F(1), F(1)]
+    objective, rows, rhs = [F(1), F(1)], sparse([[F(3), F(1)], [F(1), F(3)]]), [F(1), F(1)]
     cold = exactlp.maximize(objective, rows, rhs)
     warm = exactlp.maximize(objective, rows, rhs, start=cold)
     assert cold.iterations > 0 and warm.iterations == 0
@@ -212,9 +217,9 @@ def test_resolving_from_own_optimum_takes_no_pivots():
 
 
 def test_start_from_other_rows_refused():
-    rows, rhs = [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)]
+    rows, rhs = sparse([[F(1), F(1)], [F(1), F(0)]]), [F(4), F(2)]
     sol = exactlp.maximize([F(3), F(2)], rows, rhs)
-    equal_copy = [list(row) for row in rows]  # same entries, another object
+    equal_copy = [dict(row) for row in rows]  # same entries, another object
     for other_rows, other_rhs in ((equal_copy, rhs), (rows, [F(5), F(2)])):
         with pytest.raises(ValueError, match="other rows"):
             exactlp.maximize([F(1), F(1)], other_rows, other_rhs, start=sol)
@@ -229,7 +234,7 @@ def test_start_from_other_rows_refused():
     {(0, 2): 0, (0, 3): 1},  # y = (0, 5): b.y = c.x = 10, but A^T y < c
 ], ids=["b-row0", "b-row1", "slack-row0", "slack-row1", "dual-infeasible"])
 def test_tampered_start_raises_instead_of_returning_a_wrong_value(edits):
-    objective, rows, rhs = [F(3), F(2)], [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)]
+    objective, rows, rhs = [F(3), F(2)], sparse([[F(1), F(1)], [F(1), F(0)]]), [F(4), F(2)]
     sol = exactlp.maximize(objective, rows, rhs)
     assert sol.basis == (1, 0) and sol.y == [F(2), F(1)]
     for (row, column), entry in edits.items():
@@ -239,7 +244,7 @@ def test_tampered_start_raises_instead_of_returning_a_wrong_value(edits):
 
 
 def test_tampered_start_cannot_fake_unboundedness():
-    rows, rhs = [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)]
+    rows, rhs = sparse([[F(1), F(1)], [F(1), F(0)]]), [F(4), F(2)]
     sol = exactlp.maximize([F(0), F(0)], rows, rhs)  # all-slack basis, no pivots
     for row in sol.tableau:
         row[0] = -1  # column 0 now looks unlimited by every row
@@ -250,7 +255,7 @@ def test_tampered_start_cannot_fake_unboundedness():
 def test_start_edited_to_hold_a_fraction_raises():
     """A start holds int numerators only: one edited to hold a Fraction makes
     the solve raise rather than return a value."""
-    objective, rows, rhs = [F(3), F(2)], [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)]
+    objective, rows, rhs = [F(3), F(2)], sparse([[F(1), F(1)], [F(1), F(0)]]), [F(4), F(2)]
     sol = exactlp.maximize(objective, rows, rhs)
     sol.tableau[0][4] = F(3)
     with pytest.raises((TypeError, exactlp.CertificateError)):
@@ -262,7 +267,7 @@ def certify(x, y, value, objective=(F(1), F(1)), rows=((F(1), F(1)), (F(0), F(1)
     """Run the optimality certificate on a hand-set x, y and value, as the
     numerators a solve would hand it; ``scaled_rhs`` replaces the program's L_i b_i."""
     n, m = len(objective), len(rows)
-    program = exactlp._program(rows, rhs, n)
+    program = exactlp._program(sparse(rows), rhs, n)
     if scaled_rhs is not None:
         program = program._replace(scaled_rhs=scaled_rhs)
     cden = math.lcm(*(c.denominator for c in objective))
@@ -301,3 +306,9 @@ def test_optimum_certificate_passes(x, y, value, lp):
 def test_optimum_certificate_catches_each_clause(x, y, value, lp):
     with pytest.raises(exactlp.CertificateError):
         certify(x, y, value, **lp)
+
+
+@pytest.mark.parametrize("column", [2, -1], ids=["column-n", "column-minus-1"])
+def test_row_naming_a_column_outside_the_objective_is_refused(column):
+    with pytest.raises(ValueError, match=r"column outside 0\.\.1"):
+        exactlp._program([{0: F(1)}, {column: F(1)}], [F(1), F(1)], 2)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import greedyaug as ga
 from greedyaug import exactlp
-from test_exactlp import bounded_lps, entries, outcome
+from test_exactlp import bounded_lps, entries, outcome, sparse
 
 F = Fraction
 
@@ -29,7 +29,7 @@ def assert_integer_rows(sol):
 @given(bounded_lps(), st.data())
 def test_every_solve_of_a_warm_chain_keeps_integer_rows(lp, data):
     objective, rows, rhs = lp
-    width = len(objective)
+    width, rows = len(objective), sparse(rows)
     objectives = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width),
                                     min_size=1, max_size=5))
     start = None
@@ -41,7 +41,7 @@ def test_every_solve_of_a_warm_chain_keeps_integer_rows(lp, data):
 
 
 def test_cold_rows_are_the_scaled_constraints():
-    rows, rhs = [[F(1, 2), F(1, 3)], [F(2), F(0)]], [F(1), F(4)]
+    rows, rhs = sparse([[F(1, 2), F(1, 3)], [F(2), F(0)]]), [F(1), F(4)]
     sol = exactlp.maximize([F(0), F(0)], rows, rhs)  # no pivots: the all-slack tableau
     assert sol.tableau == ({0: 3, 1: 2, 2: 6, 4: 6}, {0: 2, 3: 1, 4: 4})
     assert sol.denominators == (6, 1)

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import greedyaug as ga
 from greedyaug import exactlp
+from test_exactlp import sparse
 
 F = Fraction
 INF = ga.flows.INF
@@ -133,6 +135,18 @@ class TestStaircase:
         with pytest.raises(ga.ParameterError):
             ga.make_lower_bound_instance(1, 1)
 
+    def test_oversize_instance_refused_before_it_is_built(self):
+        """alpha*k*(alpha*k + 3) arcs x alpha commodities + 2*alpha*k sinks columns,
+        counted before any arc is built, so k = 1000 (1,005,000 columns) fails at once."""
+        inst = ga.make_lower_bound_instance(1, 68)
+        assert len(inst.arcs) * inst.commodities + len(inst.sinks) == 4964
+        with pytest.raises(ga.LPSizeError, match="5106 variables exceed guard 5000"):
+            ga.make_lower_bound_instance(1, 69)
+        started = time.perf_counter()
+        with pytest.raises(ga.LPSizeError, match="1005000 variables exceed guard 5000"):
+            ga.make_lower_bound_instance(1, 1000)
+        assert time.perf_counter() - started < 0.5
+
     def test_objective_is_augmentable_at_its_commodity_count(
         self, staircase_a1k2, staircase_a2k2
     ):
@@ -175,6 +189,17 @@ class TestObjectiveEvaluation:
             for mask in range(1 << len(inst.sinks)):
                 bound = min(ga.max_flow(inst, i, mask) for i in range(inst.commodities))
                 assert oracle.value(mask) <= bound
+
+    def test_isolated_vertices_cost_nothing(self):
+        """Neither the LP model nor max_flow allocates per vertex: one arc among
+        10**9 vertices has two rows and evaluates at once."""
+        inst = ga.FlowInstance(num_vertices=10**9, arcs=((0, 1),), source=0, sinks=(1,),
+                               capacities=((1,),))
+        started = time.perf_counter()
+        assert ga.evaluate_objective(inst, 1) == 1
+        assert ga.max_flow(inst, 0, 1) == 1
+        assert time.perf_counter() - started < 0.5
+        assert inst.lp_model == (({0: 1}, {0: -1, 1: 1}), (1, 0), 1)
 
     def test_size_guard(self):
         # One arc carrying 5000 commodities, plus one demand column: 5001 columns.
@@ -269,7 +294,7 @@ def reference_objective(inst, sink_mask):
                 rows += [inflow, outflow]
                 rhs += [F(0), F(0)]
     objective = [F(0)] * len(flow) + [F(1)] * len(demand)
-    return exactlp.maximize(objective, rows, rhs).value
+    return exactlp.maximize(objective, sparse(rows), rhs).value
 
 
 def outcome(evaluate, *args):
@@ -338,14 +363,8 @@ def test_each_solve_starts_from_the_last_optimum(monkeypatch):
     assert unbounded[0] is first[1] and last[0] is first[1]  # Unbounded keeps the start
 
 
-@pytest.mark.parametrize("alpha, k, run, expected, solves, pivots", [
-    (2, 2, lambda f: ga.approximation_ratio(f), (F(32, 15), 4), 255, 136),
-    (2, 3, lambda f: ga.greedy_adaptive(f, f.n).values[-1], F(2187, 32), 78, 450),
-    (2, 4, lambda f: ga.greedy_adaptive(f, f.n).values[-1], F(524288, 6561), 136, 972),
-], ids=["gk(2,2)-approximation-ratio", "gk(2,3)-greedy-adaptive", "gk(2,4)-greedy-adaptive"])
-def test_staircase_pivot_path_is_pinned(monkeypatch, alpha, k, run, expected, solves, pivots):
-    """Bland's rule fixes the pivot sequence of every warm solve, so a change to it
-    fails here even when every value still agrees."""
+def count_solves(monkeypatch):
+    """[solves, pivots] so far, counted through a spy on ``exactlp.maximize``."""
     solve, counts = exactlp.maximize, [0, 0]
 
     def spy(objective, rows, rhs, start=None):
@@ -355,6 +374,18 @@ def test_staircase_pivot_path_is_pinned(monkeypatch, alpha, k, run, expected, so
         return solution
 
     monkeypatch.setattr(exactlp, "maximize", spy)
+    return counts
+
+
+@pytest.mark.parametrize("alpha, k, run, expected, solves, pivots", [
+    (2, 2, lambda f: ga.approximation_ratio(f), (F(32, 15), 4), 255, 136),
+    (2, 3, lambda f: ga.greedy_adaptive(f, f.n).values[-1], F(2187, 32), 78, 450),
+    (2, 4, lambda f: ga.greedy_adaptive(f, f.n).values[-1], F(524288, 6561), 136, 972),
+], ids=["gk(2,2)-approximation-ratio", "gk(2,3)-greedy-adaptive", "gk(2,4)-greedy-adaptive"])
+def test_staircase_pivot_path_is_pinned(monkeypatch, alpha, k, run, expected, solves, pivots):
+    """Bland's rule fixes the pivot sequence of every warm solve, so a change to it
+    fails here even when every value still agrees."""
+    counts = count_solves(monkeypatch)
     assert run(ga.objective_oracle(ga.make_lower_bound_instance(alpha, k))) == expected
     assert counts == [solves, pivots]
 
@@ -385,3 +416,24 @@ def test_max_flow_on_mixed_denominators_and_an_unlimited_arc():
         assert type(flow) is Fraction and math.gcd(flow.numerator, flow.denominator) == 1
         if mask:
             assert flow == cold_objective(inst, mask) == ga.evaluate_objective(inst, mask)
+
+
+def test_every_model_row_has_a_nonzero():
+    """Balance rows exist only where a flow column or a sink demand touches the
+    vertex; zero_ratio's commodities each leave some vertices untouched."""
+    for alpha, count in ((2, 16), (3, 24)):
+        rows, rhs, _ = ga.make_zero_ratio_instance(alpha).lp_model
+        assert len(rows) == len(rhs) == count
+        assert all(any(row.values()) for row in rows)
+    for inst in (ga.make_two_sink_instance(2), ga.make_lower_bound_instance(2, 2)):
+        assert all(any(row.values()) for row in inst.lp_model[0])
+
+
+def test_zero_ratio_sweep_keeps_its_pivot_path(monkeypatch):
+    """A (commodity, vertex) row that no arc touches would be all zero, and its slack
+    would never pivot, so leaving such rows out keeps Bland's path.  zero_ratio(3)
+    has three; its sweep's totals are pinned."""
+    counts = count_solves(monkeypatch)
+    oracle = ga.objective_oracle(ga.make_zero_ratio_instance(3))
+    assert ga.approximation_ratio(oracle) == (2, 2)
+    assert counts == [7, 17]
