@@ -21,6 +21,11 @@ record the policy); "strong" scope ranges over every subset.
 Both augmentability audits and ``min_alpha_for`` read one scan: pair (X, Y)
 needs alpha >= (gamma*f(X+Y) - |Y|*best_gain) / f(X), ``min_alpha_for`` is the
 largest need, and an audit at alpha fails at the first pair needing more.
+The running least alpha only rises, so the scan records each rise with its
+pair; the first record above alpha is that failing pair.  The oracle keeps
+the records and the suspended scan for each gamma and scope (and tie policy
+in weak scope), so the calls of an ``audit`` bundle share one scan per gamma:
+a call reads the kept records and resumes the scan only past them.
 That scan and the weak ratio read one int value table from one preamble,
 ``_audit_table``, which refuses non-monotone f with a ``ParameterError``: the
 weak ratio is defined for monotone f only, and both visit only the pairs with
@@ -137,35 +142,74 @@ def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
     return x_sets, table, scale
 
 
-def _least_alpha(f, gamma, scope, tie, existential, cap=None):
-    """(alpha, X, Y, best gain, pairs checked): the least alpha >= gamma over
-    in-scope pairs (X, Y), Y not inside X, in mask order.  X and Y name the pair
-    that stopped the scan, by needing more than ``cap`` or, with f(X) = 0, any
-    finite alpha (then alpha = inf); they are None when the scan completes.
+def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
+    """(alpha, X, Y, best gain, pairs checked): the first record of the scan
+    of in-scope pairs (X, Y), Y not inside X, in mask order whose alpha
+    exceeds ``cap``, else the scan's final record.
 
-    Pair (X, Y) needs alpha >= (gamma*f(X+Y) - |Y|*best) / f(X), where best is
-    the largest gain f(X+y) - f(X) of a witness candidate y.  Only the pairs
-    with Y disjoint from X are visited, which decides every pair because f is
-    monotone (checked first): if (X, Y) needs more than some alpha, so does
-    (X, Y \\ X).  f(X + Y) is the same; the candidates outside X are the same
-    and those inside X (``existential="full"``) add gain 0, so with every gain
-    >= 0 the best gain is the same under both conventions; and |Y \\ X| <= |Y|.
-    Y \\ X is also the smaller mask, so the first pair needing more than any
-    bar is disjoint and the largest need is reached on a disjoint pair: the
-    verdict, the witness and the least alpha are those of the scan over all
-    pairs.  ``checked`` counts the pairs that scan would examine: 2**n - 2**|X|
-    for each finished X, and at the stopping (X, Y) the Y' <= Y not inside X.
+    A record is written each time the running least alpha >= gamma rises, at
+    the pair (X, Y) that raised it; with f(X) = 0 no finite alpha suffices, the
+    record reads inf and ends the scan.  Otherwise the final record (least
+    alpha, None, None, None, pairs checked) ends it.  The first pair needing
+    more than some alpha >= gamma is where the running value first exceeds
+    it, so that pair is a record: the records answer every cap, and an audit
+    at alpha stops where a scan capped at alpha would.
 
-    The scan runs on the int table of ``_audit_table``: with gamma = p/q and
-    the running least alpha a/b, the pair needs more when
+    The scan is kept on the oracle (``f.scans``), keyed by gamma and scope,
+    and in weak scope by the tie policy, which fixes the greedy chain; strong
+    scope does not read it.  A call reads the kept records and resumes the
+    suspended scan only when they run out, so no pair is visited twice for a
+    key.  A finished scan keeps only its records.  ``_audit_table`` runs first
+    on every call, so the budget and the monotonicity refusal still hold.
+
+    ``existential`` is validated but not keyed: it cannot change a record.
+    Only the pairs with Y disjoint from X are visited, which decides every
+    pair because f is monotone (checked first): if (X, Y) needs more than some
+    alpha, so does (X, Y \\ X).  f(X + Y) is the same; the candidates outside
+    X are the same and those inside X (``existential="full"``) add gain 0, so
+    with every gain >= 0 the best gain is the same under both conventions; and
+    |Y \\ X| <= |Y|.  Y \\ X is also the smaller mask, so the first pair
+    needing more than any bar is disjoint and the largest need is reached on a
+    disjoint pair: the verdict, the witness and the least alpha are those of
+    the scan over all pairs.  ``checked`` counts the pairs that scan would
+    examine: 2**n - 2**|X| for each finished X, and at a record (X, Y) the
+    Y' <= Y not inside X.
+    """
+    if existential not in ("full", "difference"):
+        raise ParameterError(f"unknown existential scope {existential!r}")
+    x_sets, table, scale = _audit_table(f, scope, tie)
+    key = (gamma, scope)
+    if scope == "weak":
+        key += (tie if isinstance(tie, str) else tuple(tie),)
+    kept = f.scans.get(key)
+    if kept is None:
+        kept = f.scans[key] = [[], _scan(f.n, x_sets, table, scale, gamma)]
+    records, i = kept[0], 0
+    while True:
+        if i == len(records):
+            try:
+                records.append(next(kept[1]))
+            except BaseException:  # an interrupted scan cannot resume: the next call starts over
+                del f.scans[key]
+                raise
+        record = records[i]
+        if record[1] is None or record[0] == math.inf:
+            kept[1] = None  # finished: drop the suspended scan and its 2**n lists
+            return record
+        if record[0] > cap:
+            return record
+        i += 1
+
+
+def _scan(n, x_sets, table, scale, gamma):
+    """Yield the records of ``_least_alpha`` for the scope sets ``x_sets``.
+
+    It runs on the int table of ``_audit_table``: with gamma = p/q and the
+    running least alpha a/b, the pair needs more when
     b*(p*T - q*|Y|*G) > a*q*F, for the scaled values T = f(X+Y), F = f(X) and
     best gain G.  Y runs over the nonempty submasks of the complement of X in
     increasing order, so best[Y] extends best[Y minus its lowest element].
     """
-    if existential not in ("full", "difference"):
-        raise ParameterError(f"unknown existential scope {existential!r}")
-    n = f.n
-    x_sets, table, scale = _audit_table(f, scope, tie)
     full = (1 << n) - 1
     sizes = [y_set.bit_count() for y_set in range(1 << n)]
     best = [0] * (1 << n)  # best[Y] = best gain at X of an element of Y, scaled
@@ -186,16 +230,15 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=None):
             if pb * table[x_set | y_set] - qb * g * sizes[y_set] <= bar:
                 continue
             top = 1 << y_set.bit_length() - 1  # Y' <= Y inside X: the subsets of X below top
-            stop = (x_set, y_set, Fraction(g, scale),
-                    checked + y_set - (1 << sizes[x_set & top - 1]) + 1)
+            at = checked + y_set - (1 << sizes[x_set & top - 1]) + 1
             if fx == 0:
-                return (math.inf, *stop)
+                yield math.inf, x_set, y_set, Fraction(g, scale), at
+                return
             a, b = p * table[x_set | y_set] - q * g * sizes[y_set], q * fx
             pb, qb, bar = p * b, q * b, a * q * fx
-            if cap is not None and Fraction(a, b) > cap:
-                return (Fraction(a, b), *stop)
+            yield Fraction(a, b), x_set, y_set, Fraction(g, scale), at
         checked += (1 << n) - (1 << sizes[x_set])
-    return Fraction(a, b), None, None, None, checked
+    yield Fraction(a, b), None, None, None, checked
 
 
 def _augmentability_audit(f, gamma, alpha, scope, tie, existential):
@@ -282,9 +325,9 @@ def min_alpha_for(
     """Least alpha >= gamma making the gamma-alpha audit pass, or +inf.
 
     The maximum over in-scope pairs with f(X) > 0 of
-    (gamma*f(X+Y) - |Y|*best_gain) / f(X), from the scan that also decides
-    the audits; a pair with f(X) = 0 that the best gain leaves short makes
-    every alpha fail.
+    (gamma*f(X+Y) - |Y|*best_gain) / f(X): the final record of the scan that
+    also decides the audits, resumed where earlier calls on f left it; a pair
+    with f(X) = 0 that the best gain leaves short makes every alpha fail.
     """
     gamma, _ = _parameters(gamma)
     return _least_alpha(f, gamma, scope, tie, existential)[0]

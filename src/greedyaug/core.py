@@ -153,7 +153,8 @@ class SetFunctionOracle:
     first use and kept, so the audits and ``optimum_profile`` on one oracle
     share one build.  ``first_decrease()`` decides monotonicity once on that
     table and keeps the verdict; this type refuses nothing itself, the
-    augmentability audits refuse non-monotone input on every call.
+    augmentability audits refuse non-monotone input on every call.  ``scans``
+    holds the audits' resumable least-alpha scans (``audit._least_alpha``).
     """
 
     def __init__(self, ground: GroundSet, fn: Callable[[int], Fraction], name: str = "f"):
@@ -163,6 +164,7 @@ class SetFunctionOracle:
         self._cache: dict[int, Fraction] = {}
         self._scaled: tuple[tuple[int, ...], int] | None = None
         self._decrease = _UNDECIDED  # then (X, e) or None, see first_decrease
+        self.scans: dict = {}  # (gamma, scope[, tie]) -> [records, suspended scan or None]
 
     @property
     def n(self) -> int:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greedyaug as ga
-from greedyaug import cli
+from greedyaug import audit, cli
 from conftest import build_monotone_oracle
 
 F = Fraction
@@ -231,6 +231,82 @@ class TestMonotonicityPrecondition:
             ga.check_alpha_augmentable(f, 1, scope="bogus")
 
 
+class TestResumableScan:
+    """Audits and ``min_alpha_for`` on one oracle share one least-alpha scan
+    per gamma and scope (and tie policy, in weak scope)."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        started = []
+        scan = audit._scan
+
+        def counted(n, x_sets, table, scale, gamma):
+            started.append(gamma)
+            return scan(n, x_sets, table, scale, gamma)
+
+        monkeypatch.setattr(audit, "_scan", counted)
+        return started
+
+    def test_strong_audit_bundle_starts_one_scan_per_gamma(self, monkeypatch, capsys):
+        started = self.spy(monkeypatch)
+        params = '{"gamma": "1/2", "alpha": "1", "k": 4}'
+        assert cli.main(["audit", "--family", "critical", "--params", params,
+                         "--scope", "strong"]) == 0
+        assert '"min_alpha": "1"' in capsys.readouterr().out
+        assert started == [1, HALF]
+
+    def test_audits_and_min_alpha_share_one_scan(self, monkeypatch):
+        started = self.spy(monkeypatch)
+        n = 4
+        f = ga.make_modular([3, 1, 2, 5])
+        first, second = ga.check_alpha_augmentable(f, 1), ga.check_alpha_augmentable(f, 2)
+        assert ga.min_alpha_for(f, 1, scope="strong") == 1
+        assert started == [1]
+        assert first.member and second.member
+        assert first.checked_pairs == second.checked_pairs == 4**n - 3**n
+
+    def test_weak_scans_are_keyed_by_tie_order(self, monkeypatch):
+        started = self.spy(monkeypatch)
+        f = ga.make_modular([3, 1, 2])
+        for tie in ([2, 0, 1], (2, 0, 1), "high", [2, 0, 1]):
+            ga.min_alpha_for(f, 1, tie=tie)
+        ga.min_alpha_for(f, 1, scope="strong", tie="high")
+        ga.min_alpha_for(f, 1, scope="strong", tie="low")
+        assert started == [1, 1, 1]
+
+    def test_finished_scan_keeps_only_its_records(self):
+        f = ga.make_critical_function(1, 2, 3)
+        assert not ga.check_alpha_augmentable(f, F(3, 2)).member  # stops early
+        records, pending = f.scans[(1, "strong")]
+        assert pending is not None and records[-1][0] > F(3, 2)
+        assert ga.min_alpha_for(f, 1, scope="strong") == 2
+        records, pending = f.scans[(1, "strong")]
+        assert pending is None and records[-1][1:4] == (None, None, None)
+        assert ga.check_alpha_augmentable(f, 2).checked_pairs == records[-1][4]
+
+    def test_interrupted_scan_starts_over(self, monkeypatch):
+        scan = audit._scan
+
+        def interrupted(*args):
+            yield next(scan(*args))
+            raise KeyboardInterrupt
+
+        f = ga.make_critical_function(1, 2, 3)
+        monkeypatch.setattr(audit, "_scan", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ga.min_alpha_for(f, 1, scope="strong")
+        monkeypatch.setattr(audit, "_scan", scan)
+        assert ga.min_alpha_for(f, 1, scope="strong") == 2
+
+    def test_non_monotone_refused_again_without_a_scan(self, monkeypatch):
+        started = self.spy(monkeypatch)
+        f = _non_monotone()
+        for _ in range(2):
+            with pytest.raises(ga.ParameterError, match=r"adding element 0 to X=\[1\] lowers"):
+                ga.check_alpha_augmentable(f, 1)
+        assert started == [] and f.scans == {}
+
+
 class TestCertifiedBound:
     @pytest.mark.parametrize("gamma, alpha", [(1, 0), (2, 2), (0, 1), (1, HALF)])
     def test_parameter_domain(self, gamma, alpha):
@@ -433,3 +509,47 @@ def test_weak_ratio_matches_naive_reference(data, tie):
     assert (result.value, result.x_set, result.y_set, result.checked_pairs) == naive_weak_ratio(
         f, tie
     )
+
+
+AUDIT_CALLS = {
+    "alpha": lambda f, gamma, alpha, scope, tie: ga.check_alpha_augmentable(
+        f, alpha + 1 - gamma, scope=scope, tie=tie),
+    "gamma-alpha": lambda f, gamma, alpha, scope, tie: ga.check_gamma_alpha_augmentable(
+        f, gamma, alpha, scope=scope, tie=tie),
+    "min-alpha": lambda f, gamma, alpha, scope, tie: ga.min_alpha_for(
+        f, gamma, scope=scope, tie=tie),
+}
+
+
+@st.composite
+def audit_call_sequences(draw):
+    """A monotone int table at n <= 7 and a sequence of audit calls on it.
+
+    The calls draw from a small pool of gammas and tie policies, so that
+    several of them hit one scan."""
+    n = draw(st.integers(1, 7))
+    increments = draw(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n))
+    gammas = draw(st.lists(st.sampled_from([F(1), F(1, 2), F(1, 3)]), min_size=1, max_size=2))
+    tie = st.one_of(st.sampled_from(["low", "high"]), st.permutations(range(n)))
+    ties = draw(st.lists(tie, min_size=1, max_size=3))
+    call = st.tuples(
+        st.sampled_from(sorted(AUDIT_CALLS)),
+        st.sampled_from(gammas),
+        st.sampled_from([F(0), F(1, 2), F(1), F(2)]),  # alpha - gamma
+        st.sampled_from(["weak", "strong"]),
+        st.sampled_from(ties),
+    )
+    return n, increments, draw(st.lists(call, min_size=1, max_size=10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(audit_call_sequences())
+def test_shared_scan_matches_fresh_oracle(drawn):
+    """Every audit on an oracle that earlier calls have scanned reports what the
+    same call reports on a fresh oracle: verdict, witness, pairs, least alpha."""
+    n, increments, calls = drawn
+    shared = build_monotone_oracle(n, increments)
+    for kind, gamma, step, scope, tie in calls:
+        args = (gamma, gamma + step, scope, tie)
+        fresh = build_monotone_oracle(n, increments)
+        assert AUDIT_CALLS[kind](shared, *args) == AUDIT_CALLS[kind](fresh, *args)
