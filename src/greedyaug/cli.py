@@ -40,7 +40,7 @@ from .audit import (
 )
 from .families import FAMILIES, describe_flow, family_entry, limit_ratio, oracle_from_descriptor
 from .independence import rank_quotient
-from . import flows, verify
+from . import exactlp, flows, verify
 
 TRACE_HEADER = ("step", "pick", "gain", "value", "ties")
 RATIO_HEADER = ("k", "measured", "closed_form", "closed_form_dec", "limit", "converging", "note")
@@ -329,8 +329,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (KeyError, TypeError, ValueError) as exc:
-        # Bad descriptors, parameters and --k values all surface here.
+    except (KeyError, TypeError, ValueError, exactlp.Unbounded) as exc:
+        # Bad descriptors, parameters and --k values all surface here, and so does a
+        # flow whose objective is unbounded; a CertificateError, a solver fault, does not.
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise SystemExit(f"greedyaug {args.command}: {reason}") from exc
 

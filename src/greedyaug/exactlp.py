@@ -13,7 +13,9 @@ is L_i [A_i | e_i | b_i] over L_i, L_i the lcm of the row's denominators.
 A pivot on (r, c) makes the pivot row N_r over p = N_r[c] > 0 (in lowest
 terms, as N_r holds d_r at its basic column), and each row with
 f = N_i[c] != 0 becomes a new dict (p N_i - f N_r) over d_i p, reduced by
-one gcd; other rows are not touched.  Between its inputs and its returned
+one gcd; other rows are not touched.  The ratio test's scan of column c
+collects the rows it meets, and the pivot eliminates in those, so a pivot
+reads the m rows once.  Between its inputs and its returned
 value a solve is integer-only: it builds one Fraction, the value, and a
 solution's x and y are built from the stored numerators when first read.
 
@@ -159,27 +161,29 @@ def maximize(objective, rows, rhs, start=None) -> LPSolution:
         col = min((j for j, v in z.items() if v < 0 and j < end), default=None)
         if col is None:
             break
+        hits = []  # (i, row, a) for each row that meets the column, in row order
         pivot_row = None  # Bland's ratio test: b_i / a_i compared by cross-multiplying
         for i, row in enumerate(tableau):
             a = row.get(col)
-            if a is not None and a > 0:
-                b = row.get(end, 0)
-                if (
-                    pivot_row is None
-                    or b * best_a < best_b * a
-                    or (b * best_a == best_b * a and basis[i] < basis[pivot_row])
-                ):
-                    best_a, best_b, pivot_row = a, b, i
+            if a:
+                hits.append((i, row, a))
+                if a > 0:
+                    b = row.get(end, 0)
+                    if (
+                        pivot_row is None
+                        or b * best_a < best_b * a
+                        or (b * best_a == best_b * a and basis[i] < basis[pivot_row])
+                    ):
+                        best_a, best_b, pivot_row = a, b, i
         if pivot_row is None:
-            steps = [(var, -row[col], d)
-                     for var, row, d in zip(basis, tableau, dens) if var < n and row.get(col)]
+            steps = [(basis[i], -a, dens[i]) for i, _, a in hits if basis[i] < n]
             rden = math.lcm(*(d for _, _, d in steps))
             ray = {var: v * (rden // d) for var, v, d in steps}  # the ray's numerators over rden
             if col < n:
                 ray[col] = rden
             _certify_ray(program, cost, ray)
             raise Unbounded(f"column {col} has no limiting row")
-        z, zden = _pivot(tableau, dens, z, zden, pivot_row, col)
+        z, zden = _pivot(tableau, dens, z, zden, pivot_row, col, hits)
         basis[pivot_row] = col
         iterations += 1
 
@@ -222,9 +226,11 @@ def _lowest(row, d):
     return {j: v // g for j, v in row.items()}, d // g
 
 
-def _pivot(tableau, dens, z, zden, pr, pc):
+def _pivot(tableau, dens, z, zden, pr, pc, hits):
     """Pivot on (pr, pc), replacing the entries of ``tableau`` and ``dens`` it changes;
     returns the new reduced-cost row and its denominator.  No row dict is changed.
+    ``hits`` lists (i, N_i, N_i[pc]) for every row with N_i[pc] != 0, the ratio
+    test's own scan, so the tableau is not scanned again.
 
     The pivot row N_r becomes N_r over p = N_r[pc], and every row i with
     f = N_i[pc] != 0 becomes (p N_i - f N_r) over d_i p.  N_r holds d_r at its
@@ -232,9 +238,8 @@ def _pivot(tableau, dens, z, zden, pr, pc):
     lowest terms."""
     entries = list(tableau[pr].items())
     p = dens[pr] = tableau[pr][pc]
-    for i, row in enumerate(tableau):
-        factor = row.get(pc)
-        if factor and i != pr:
+    for i, row, factor in hits:
+        if i != pr:
             tableau[i], dens[i] = _eliminate(row, dens[i], factor, entries, p)
     factor = z.get(pc)
     if factor:

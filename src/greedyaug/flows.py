@@ -19,6 +19,19 @@ internal vertices only lowers flows and leaves every sink's excess as it was.
 The rows are built from the arcs, and a vertex that no arc or sink demand
 touches has none, so isolated vertices cost nothing.
 
+Twin sinks cut the solves.  Two sinks are twins when no arc leaves either and
+their in-arcs agree in tail and in every commodity's capacity, an arc whose
+capacities are all zero counting as absent (the LP and the max-flow routine
+both leave such arcs out).  Swapping two twins maps the digraph onto itself,
+fixes the source and keeps every capacity, so it carries each feasible flow
+and demand vector for X to one for the swapped X: f(X) = f(sigma X) for every
+permutation sigma inside a class of twins, an unbounded X included.
+``FlowInstance.twin_sinks`` finds the classes in one pass over the arcs, on
+first use, with no declaration and no check over the 2^n values, and
+``objective_oracle`` solves only the least mask of each orbit: per class, the
+same count of members at its lowest sink indices.  The staircase's decoy sinks
+form one class per commodity.
+
 Capacities may be infinite.  The LP simply omits capacity rows for such arcs
 (the objective stays bounded whenever the instance is well-posed, and the
 solver raises if not); the combinatorial max-flow routine replaces them with
@@ -160,6 +173,25 @@ class FlowInstance:
         rows += (balance[key] for key in sorted(balance))  # commodity, then vertex
         return tuple(rows), tuple(rhs) + (0,) * len(balance), len(flow)
 
+    @cached_property
+    def twin_sinks(self) -> tuple[tuple[int, ...], ...]:
+        """Classes of two or more interchangeable sinks, as ascending sink indices.
+
+        Sinks are twins when no arc leaves either and their in-arcs agree in
+        tail and in every commodity's capacity, an arc whose capacities are
+        all zero counting as absent.  One pass over the arcs, on first use.
+        """
+        leaves, into = set(), defaultdict(list)
+        for (u, w), caps in zip(self.arcs, zip(*self.capacities)):
+            if any(caps):
+                leaves.add(u)
+                into[w].append((u, caps))
+        classes = defaultdict(list)
+        for j, t in enumerate(self.sinks):
+            if t not in leaves:
+                classes[tuple(sorted(into[t]))].append(j)
+        return tuple(tuple(c) for c in classes.values() if len(c) > 1)
+
     def vertex_label(self, v: int) -> str:
         return self.labels[v] if self.labels else f"v{v}"
 
@@ -246,10 +278,31 @@ def evaluate_objective(inst: FlowInstance, sink_mask: int) -> Fraction:
 
 
 def objective_oracle(inst: FlowInstance) -> SetFunctionOracle:
-    """Wrap the LP evaluation as a cached oracle over the sink ground set."""
-    return SetFunctionOracle(
-        inst.sink_ground(), lambda mask: evaluate_objective(inst, mask), name=inst.name
-    )
+    """Wrap the LP evaluation as a cached oracle over the sink ground set, one LP
+    per orbit of twin sinks.
+
+    Twin sinks (``FlowInstance.twin_sinks``) have no out-arcs and the same
+    in-arcs, tail and every commodity's capacity alike, so swapping two of
+    them maps the digraph onto itself, fixes the source and keeps every
+    capacity: it maps each feasible flow and demand vector of X onto one of
+    the swapped X, and f(X) = f(sigma X) for every permutation sigma inside a
+    class, an unbounded X included.  So f(X) depends only on how many members
+    of each class X holds.  A mask is read as the least mask of its orbit,
+    the same count of members at each class's lowest sink indices, through
+    this oracle's own cache, and only those least masks reach
+    ``evaluate_objective``.
+    """
+
+    def evaluate(mask):
+        least = mask
+        for members in inst.twin_sinks:
+            held = sum(mask >> j & 1 for j in members)
+            for r, j in enumerate(members):
+                least = least | 1 << j if r < held else least & ~(1 << j)
+        return evaluate_objective(inst, mask) if least == mask else oracle.value(least)
+
+    oracle = SetFunctionOracle(inst.sink_ground(), evaluate, name=inst.name)
+    return oracle
 
 
 def excess_upper_bound(inst: FlowInstance):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import greedyaug as ga
-from greedyaug import cli, verify
+from greedyaug import cli, exactlp, verify
 from greedyaug.families import FAMILIES, CriticalParams, _oracle_from_parts
 
 F = Fraction
@@ -300,6 +300,9 @@ TWO_SINK_JSON = ga.make_two_sink_instance(2).to_json_dict()
 # Source 1 between sinks 0 and 2, so a JSON true or 1.0 is a valid vertex once coerced.
 THREE_VERTEX_JSON = {"vertices": 3, "source": 1, "sinks": [0, 2], "arcs": [[1, 0], [1, 2], [0, 2]],
                      "capacities": [["1", "2", "1/2"]]}
+# Sink 1 is fed without limit, so every selection holding it is unbounded.
+UNBOUNDED_JSON = {"vertices": 3, "source": 0, "sinks": [1, 2], "arcs": [[0, 1], [0, 2]],
+                  "capacities": [["inf", "1"]]}
 CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
 
 
@@ -406,6 +409,10 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
                                  "capacities": ["12"]},
                      "capacities must be a JSON list of JSON lists, got ['12']",
                      id="capacity-row-string"),
+        pytest.param(["trace"], UNBOUNDED_JSON, "greedyaug trace: flow: unbounded objective",
+                     id="trace-unbounded"),
+        pytest.param(["audit"], UNBOUNDED_JSON, "greedyaug audit: flow: unbounded objective",
+                     id="audit-unbounded"),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, argv, instance, fragment):
@@ -418,6 +425,18 @@ def test_bad_input_exits_with_one_line(tmp_path, argv, instance, fragment):
     message = excinfo.value.code
     assert isinstance(message, str) and "\n" not in message
     assert fragment in message
+
+
+def test_certificate_failure_stays_loud(tmp_path, monkeypatch):
+    """A failed LP certificate is a solver fault, not bad input: no one-line exit."""
+    def faulty(*args, **kwargs):
+        raise exactlp.CertificateError("value 1 failed its optimality certificate")
+
+    monkeypatch.setattr(exactlp, "maximize", faulty)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(TWO_SINK_JSON))
+    with pytest.raises(exactlp.CertificateError):
+        run(["trace", "--instance", str(path)])
 
 
 DEEP = "[" * 5000  # deeper than the JSON decoder's recursion limit

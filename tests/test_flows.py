@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -377,17 +378,111 @@ def count_solves(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("alpha, k, run, expected, solves, pivots", [
-    (2, 2, lambda f: ga.approximation_ratio(f), (F(32, 15), 4), 255, 136),
-    (2, 3, lambda f: ga.greedy_adaptive(f, f.n).values[-1], F(2187, 32), 78, 450),
-    (2, 4, lambda f: ga.greedy_adaptive(f, f.n).values[-1], F(524288, 6561), 136, 972),
+def plain_oracle(inst):
+    """One LP per mask: the objective without ``objective_oracle``'s twin-sink reduction."""
+    return ga.SetFunctionOracle(inst.sink_ground(), lambda m: ga.evaluate_objective(inst, m))
+
+
+@pytest.mark.parametrize("alpha, k, run, expected, solves, pivots, reduced", [
+    (2, 2, lambda f: ga.approximation_ratio(f), (F(32, 15), 4), 255, 136, [143, 64]),
+    (2, 3, lambda f: ga.greedy_adaptive(f, f.n).values[-1], F(2187, 32), 78, 450, [44, 166]),
+    (2, 4, lambda f: ga.greedy_adaptive(f, f.n).values[-1], F(524288, 6561), 136, 972,
+     [67, 270]),
 ], ids=["gk(2,2)-approximation-ratio", "gk(2,3)-greedy-adaptive", "gk(2,4)-greedy-adaptive"])
-def test_staircase_pivot_path_is_pinned(monkeypatch, alpha, k, run, expected, solves, pivots):
+def test_staircase_pivot_path_is_pinned(monkeypatch, alpha, k, run, expected, solves, pivots,
+                                        reduced):
     """Bland's rule fixes the pivot sequence of every warm solve, so a change to it
-    fails here even when every value still agrees."""
+    fails here even when every value still agrees: [solves, pivots] on one LP per
+    mask, then on one LP per orbit of twin sinks, each on a fresh instance."""
     counts = count_solves(monkeypatch)
-    assert run(ga.objective_oracle(ga.make_lower_bound_instance(alpha, k))) == expected
+    assert run(plain_oracle(ga.make_lower_bound_instance(alpha, k))) == expected
     assert counts == [solves, pivots]
+    counts[:] = [0, 0]
+    assert run(ga.objective_oracle(ga.make_lower_bound_instance(alpha, k))) == expected
+    assert counts == reduced
+
+
+class TestTwinSinks:
+    def test_built_families(self):
+        assert ga.make_two_sink_instance(2).twin_sinks == ((0, 1),)
+        assert ga.make_lower_bound_instance(2, 3).twin_sinks == ((6, 7, 8), (9, 10, 11))
+        eps = ga.default_tie_epsilon(2, 3)
+        assert ga.make_lower_bound_instance(2, 3, eps).twin_sinks == ()
+        assert ga.make_zero_ratio_instance(3).twin_sinks == ()
+
+    def test_sink_with_an_out_arc_is_refused(self):
+        arcs = ((0, 1), (0, 2))
+        assert ga.FlowInstance(4, arcs, 0, (1, 2), ((1, 1),)).twin_sinks == ((0, 1),)
+        inst = ga.FlowInstance(4, arcs + ((2, 3),), 0, (1, 2), ((1, 1, 1),))
+        assert inst.twin_sinks == ()
+
+    def test_in_arcs_differing_in_one_commodity_are_refused(self):
+        inst = ga.FlowInstance(3, ((0, 1), (0, 2)), 0, (1, 2), ((1, 1), (1, 2)))
+        assert inst.twin_sinks == ()
+        inst = ga.FlowInstance(3, ((0, 1), (0, 2)), 0, (1, 2), ((INF, INF), (1, 1)))
+        assert inst.twin_sinks == ((0, 1),)
+
+    def test_zero_capacity_arcs_count_as_absent(self):
+        # (3, 2) is a zero-capacity in-arc of sink 2, and (1, 3) a zero-capacity
+        # out-arc of sink 1; neither is in the LP, so the sinks stay twins
+        arcs = ((0, 1), (0, 2), (3, 2), (1, 3), (0, 3))
+        inst = ga.FlowInstance(4, arcs, 0, (1, 2), ((1, 1, 0, 0, 2), (2, 2, 0, 0, 1)))
+        assert inst.twin_sinks == ((0, 1),)
+
+    def test_only_least_masks_of_orbits_are_solved(self, monkeypatch):
+        """gk(2,2) has classes (4, 5) and (6, 7): 2^4 * 3 * 3 = 144 orbits, the
+        empty mask included, and the classes are found on first evaluation."""
+        inst = ga.make_lower_bound_instance(2, 2)
+        solved, evaluate = [], ga.flows.evaluate_objective
+
+        def spy(inst, mask):
+            solved.append(mask)
+            return evaluate(inst, mask)
+
+        monkeypatch.setattr(ga.flows, "evaluate_objective", spy)
+        oracle = ga.objective_oracle(inst)
+        assert "twin_sinks" not in vars(inst)
+        assert oracle.table() == plain_oracle(ga.make_lower_bound_instance(2, 2)).table()
+        assert inst.twin_sinks == ((4, 5), (6, 7))
+        assert len(solved) == len(set(solved)) == 144
+        for mask in solved:
+            assert mask >> 5 & 1 <= mask >> 4 & 1 and mask >> 7 & 1 <= mask >> 6 & 1
+
+
+@st.composite
+def instances_with_twins(draw):
+    """A ``flow_instances()`` draw plus one or two twins of a sink no arc leaves, if
+    there is one: new vertices with copies of its in-arcs, placed anywhere in the
+    sink order."""
+    inst = draw(flow_instances())
+    leaves = {u for u, _ in inst.arcs}
+    candidates = [t for t in inst.sinks if t not in leaves]
+    if not candidates:
+        return inst
+    twin_of = draw(st.sampled_from(candidates))
+    arcs, rows, sinks = list(inst.arcs), [list(row) for row in inst.capacities], list(inst.sinks)
+    for v in range(inst.num_vertices, inst.num_vertices + draw(st.integers(1, 2))):
+        for e, (u, w) in enumerate(inst.arcs):
+            if w == twin_of:
+                arcs.append((u, v))
+                for row in rows:
+                    row.append(row[e])
+        sinks.insert(draw(st.integers(0, len(sinks))), v)
+    twinned = ga.FlowInstance(v + 1, tuple(arcs), inst.source, tuple(sinks),
+                              tuple(map(tuple, rows)))
+    assert any(sinks.index(twin_of) in c and sinks.index(v) in c for c in twinned.twin_sinks)
+    return twinned
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances_with_twins(), st.data())
+def test_reduced_oracle_matches_direct_solves(inst, data):
+    """Every mask, in shuffled order, read through the orbit-reduced oracle equals a
+    direct solve on a fresh copy of the instance, an unbounded outcome included."""
+    oracle = ga.objective_oracle(inst)
+    direct = dataclasses.replace(inst)
+    for mask in data.draw(st.permutations(range(1 << len(inst.sinks)))):
+        assert outcome(oracle.value, mask) == outcome(ga.evaluate_objective, direct, mask)
 
 
 @settings(max_examples=40, deadline=None)
