@@ -7,6 +7,7 @@ objective evaluated by an exact LP.
 """
 
 from .core import (
+    Blocks,
     GreedyTrace,
     GroundSet,
     GroundSetTooLarge,

@@ -17,7 +17,21 @@ cardinality, the first chain length at which no remaining element improves
 the value.
 
 Every exhaustive sweep passes its step count from n (2**n subsets for the
-optima here) to ``require_budget`` before its first oracle evaluation.
+optima here) to ``require_budget`` before its first oracle evaluation, and so
+does greedy: k picks over n elements are k*n steps.
+
+Interchangeable elements.  An oracle may declare ``blocks`` of elements that
+any permutation inside a block leaves f unchanged on (``Blocks``).  Such a
+permutation moves a mask around its orbit, and the orbit's least mask keeps,
+in each block, the same count of members at the block's lowest indices.
+That least mask is the orbit's smallest, and its sorted index tuple is the
+orbit's lexicographically smallest too: it takes each member from no higher
+an index than any other mask of the orbit.  The oracle hands its evaluator
+least masks only, and ``optimum_profile`` sweeps the least masks, the orbit
+representatives, alone: every value is its representative's, and the
+representative wins every tie its orbit could, so the profile is the one of
+the sweep over all 2**n masks.  Blocks come from a proof about the family
+or from a check against its data, never from the caller's say-so.
 """
 
 from __future__ import annotations
@@ -112,6 +126,56 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class Blocks(tuple):
+    """Disjoint blocks of interchangeable elements of 0..n-1: ascending index
+    tuples of at least two elements each, refused with ``ParameterError``
+    otherwise.  ``least`` maps a mask to the least mask of its orbit under
+    permutations inside each block, and ``representatives`` lists those least
+    masks in ascending order.
+    """
+
+    def __new__(cls, blocks, n: int):
+        self = super().__new__(cls, (tuple(block) for block in blocks))
+        used = 0
+        for block in self:
+            if len(block) < 2:
+                raise ParameterError(f"block {block} needs at least two elements")
+            if not all(isinstance(i, int) and 0 <= i < n for i in block):
+                raise ParameterError(f"block {block} is not inside 0..{n - 1}")
+            if any(a >= b for a, b in zip(block, block[1:])):
+                raise ParameterError(f"block {block} is not strictly ascending")
+            if used & mask_of(block):
+                raise ParameterError(f"block {block} overlaps an earlier block")
+            used |= mask_of(block)
+        self.n = n
+        # per block: its mask, and the masks of its lowest c members for c = 0..len
+        self._lows = tuple(
+            (mask_of(block), tuple(mask_of(block[:c]) for c in range(len(block) + 1)))
+            for block in self
+        )
+        return self
+
+    def least(self, mask: int) -> int:
+        for block, lows in self._lows:
+            mask = mask & ~block | lows[(mask & block).bit_count()]
+        return mask
+
+    def representatives(self):
+        """The least masks in ascending order: every mask when there is no block."""
+        if not self:
+            return range(1 << self.n)
+        masks = [0]
+        free = (1 << self.n) - 1
+        for block, _ in self._lows:
+            free &= ~block
+        for i in indices_of(free):
+            masks += [mask | 1 << i for mask in masks]
+        for _, lows in self._lows:
+            masks = [mask | low for mask in masks for low in lows]
+        masks.sort()
+        return masks
+
+
 def iter_submasks(mask: int):
     """Yield every submask of ``mask``, including ``mask`` itself and 0."""
     sub = mask
@@ -148,19 +212,28 @@ class SetFunctionOracle:
     Results are memoized, which doubles as the purity contract: two queries
     for the same subset return the identical Fraction.
 
-    The exhaustive sweeps read ``scaled_table()``: the 2**n values as ints
-    over one scale, the lcm of their denominators, built from ``table()`` on
-    first use and kept, so the audits and ``optimum_profile`` on one oracle
-    share one build.  ``first_decrease()`` decides monotonicity once on that
-    table and keeps the verdict; this type refuses nothing itself, the
-    augmentability audits refuse non-monotone input on every call.  ``scans``
-    holds the audits' resumable least-alpha scans (``audit._least_alpha``).
+    The audits read ``scaled_table()``: the 2**n values as ints over one
+    scale, the lcm of their denominators, built from ``table()`` on first use
+    and kept, so the audits on one oracle share one build.
+    ``first_decrease()`` decides monotonicity once on that table and keeps
+    the verdict; this type refuses nothing itself, the augmentability audits
+    refuse non-monotone input on every call.  ``scans`` holds the audits'
+    resumable least-alpha scans (``audit._least_alpha``).
+
+    ``blocks`` declares elements that f cannot tell apart (see ``Blocks``); it
+    must come from a proof or a certificate, as nothing here checks it.  A
+    mask that is not the least of its orbit is read through its least mask,
+    so ``fn`` only sees least masks.
     """
 
-    def __init__(self, ground: GroundSet, fn: Callable[[int], Fraction], name: str = "f"):
+    def __init__(
+        self, ground: GroundSet, fn: Callable[[int], Fraction], name: str = "f", *, blocks=()
+    ):
         self.ground = ground
         self.name = name
+        self.blocks = Blocks(blocks, ground.n)
         self._fn = fn
+        self._full = ground.full_mask()
         self._cache: dict[int, Fraction] = {}
         self._scaled: tuple[tuple[int, ...], int] | None = None
         self._decrease = _UNDECIDED  # then (X, e) or None, see first_decrease
@@ -173,21 +246,32 @@ class SetFunctionOracle:
     def value(self, mask: int) -> Fraction:
         cached = self._cache.get(mask)
         if cached is None:
-            if mask < 0 or mask > self.ground.full_mask():
+            if not 0 <= mask <= self._full:
                 raise ValueError(f"mask {mask:#x} outside ground set of {self.n} elements")
-            cached = self._fn(mask)
-            if not isinstance(cached, Fraction):
-                cached = as_fraction(cached)
-            if cached < 0:
-                raise ValueError(f"{self.name}: negative value {cached} on {indices_of(mask)}")
+            least = self.blocks.least(mask)
+            cached = self._cache.get(least)
+            if cached is None:
+                cached = self._fn(least)
+                if not isinstance(cached, Fraction):
+                    cached = as_fraction(cached)
+                if cached.numerator < 0:
+                    raise ValueError(f"{self.name}: negative value {cached} on {indices_of(least)}")
+                self._cache[least] = cached
             self._cache[mask] = cached
         return cached
 
     __call__ = value
 
     def table(self) -> list[Fraction]:
-        """All 2**n values, indexed by mask, read through the memo."""
-        return [self.value(mask) for mask in range(1 << self.n)]
+        """All 2**n values, indexed by mask.  A least mask is read through the
+        memo; any other mask copies the value of its least mask, a smaller
+        mask and so already in the table."""
+        least = self.blocks.least
+        values: list[Fraction] = []
+        for mask in range(1 << self.n):
+            rep = least(mask)
+            values.append(self.value(mask) if rep == mask else values[rep])
+        return values
 
     def scaled_table(self) -> tuple[tuple[int, ...], int]:
         """(values, scale): f(X) * scale at index X, with scale the lcm of the
@@ -283,11 +367,13 @@ def greedy_adaptive(f: SetFunctionOracle, k: int, tie: TiePolicy = "low") -> Gre
     """Run the adaptive greedy algorithm for exactly ``k`` picks.
 
     At every step the pick maximizes f(S + {x}) over x not in S; ties are
-    resolved by the policy and all tied candidates are logged.
+    resolved by the policy and all tied candidates are logged.  The k*n steps
+    pass ``require_budget`` before the first evaluation.
     """
     n = f.n
     if not 0 <= k <= n:
         raise InvalidCardinality(f"k={k} outside 0..{n}")
+    require_budget(k * n, f"greedy of k={k} picks over n={n}")
     pref = tie_preference(tie, n)
     current = 0
     chain = [0]
@@ -353,12 +439,19 @@ def _better(value, mask, best_value, best_mask):
 
 
 def optimum_profile(f: SetFunctionOracle) -> list[OptimumRecord]:
-    """Exact optima for every cardinality bound 0..n in one sweep of 2**n subsets."""
+    """Exact optima for every cardinality bound 0..n in one sweep of the orbit
+    representatives (all 2**n subsets when f declares no blocks).
+
+    The budget counts 2**n steps all the same.
+    """
     n = f.n
     require_budget(1 << n, f"optimum sweep over n={n}")
-    table, scale = f.scaled_table()  # ints over one scale compare as the values do
+    masks = f.blocks.representatives()
+    values = [f.value(mask) for mask in masks]
+    scale = math.lcm(*(v.denominator for v in values))  # ints over one scale compare as values do
     by_size: list[tuple[int, int] | None] = [None] * (n + 1)
-    for mask, value in enumerate(table):
+    for mask, v in zip(masks, values):
+        value = v.numerator * (scale // v.denominator)
         c = mask.bit_count()
         entry = by_size[c]
         if entry is None or _better(value, mask, entry[0], entry[1]):

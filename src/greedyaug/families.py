@@ -16,12 +16,20 @@ misses the best k-set (all of B) by exactly
 
 which is what makes the family the extremal instance for the audited classes.
 
+The closed evaluator reads a mask through its A-part and, when b_1 is in it,
+the size of its B-block, so b_2..b_k are interchangeable: its oracle declares
+them one block (``core.Blocks``) and evaluates one least mask per orbit.  It
+compares its three candidate values in ints over one unit and builds one
+``Fraction`` per distinct (A-part, block size) key.  The exhaustive
+evaluator declares nothing and stays the unreduced reference.
+
 The remaining constructors are small single-purpose separators: a two-element
 plateau objective whose weak submodularity ratio is a chosen gamma while no
 augmentability parameter fits it; a weighted rank system whose rank quotient
 is m/n while its weak ratio collapses to zero; and the square-of-cardinality
 objective, which greedy maximizes exactly yet which escapes every audited
-class.
+class.  The square objective declares its whole ground set one block, and
+the rank separator declares A and B, which its independence system certifies.
 """
 
 from __future__ import annotations
@@ -101,26 +109,42 @@ def _closed_eval(params: CriticalParams, gains: list[Fraction]):
     # (A-part, size) key is evaluated once into a dict filled lazily: a full
     # table costs at most 2**k * (k+1) evaluations for its 4**k masks, and a
     # greedy trace at large k builds nothing of size 2**k.
-    k, alpha = params.k, params.alpha
+    #
+    # The three candidates are compared in ints over one unit, 1/(d*q*s) with
+    # s and d the lcms of the gain and block-value denominators and alpha =
+    # p/q.  An A-sum A/s is A*d*q units, a block value B/d is B*q*s units, and
+    # the pair B/d * (1 - alpha*A/s) + A/s is B*q*s - B*p*A + A*d*q units.
+    # Each A-part's sum is computed once, and each key builds one Fraction.
+    k, p, q = params.k, params.alpha.numerator, params.alpha.denominator
     a_mask = (1 << k) - 1
-    blocks = [params.curve(c) / k for c in range(k + 1)]
+    block_values = [params.curve(c) / k for c in range(k + 1)]
+    s = math.lcm(*(g.denominator for g in gains))
+    d = math.lcm(*(b.denominator for b in block_values))
+    dq = d * q
+    gain_units = [g.numerator * (s // g.denominator) for g in gains]
+    blocks = [b.numerator * (d // b.denominator) for b in block_values]
+    a_sums: dict[int, int] = {}
     memo: dict[int, Fraction] = {}
 
     def reduced(a_bits: int, size: int) -> Fraction:
-        a_sum = Fraction(0)
-        while a_bits:
-            low = a_bits & -a_bits
-            a_sum += gains[low.bit_length() - 1]
-            a_bits ^= low
-        best = a_sum
+        a_sum = a_sums.get(a_bits)
+        if a_sum is None:
+            a_sum, bits = 0, a_bits
+            while bits:
+                low = bits & -bits
+                a_sum += gain_units[low.bit_length() - 1]
+                bits ^= low
+            a_sums[a_bits] = a_sum
+        best = a_alone = a_sum * dq
         if size:
             block = blocks[size]
-            if block > best:
-                best = block
-            combined = block * (1 - alpha * a_sum) + a_sum
+            alone = block * q * s
+            if alone > best:
+                best = alone
+            combined = alone - block * p * a_sum + a_alone
             if combined > best:
                 best = combined
-        return best
+        return Fraction(best, dq * s)
 
     def evaluate(mask: int) -> Fraction:
         b_part = mask >> k
@@ -163,7 +187,10 @@ def make_critical_function(gamma, alpha, k: int, method: str = "closed") -> SetF
 
     ``method`` selects the reduced evaluator ("closed") or the exhaustive
     inner maximization ("exhaustive"); both must agree, and the test suite
-    cross-checks them on full subset lattices.
+    cross-checks them on full subset lattices.  The closed evaluator reads
+    b_2..b_k only through how many of them a mask holds, so its oracle
+    declares them one block (k >= 3); the exhaustive one declares none and
+    stays the unreduced reference.
     """
     params = CriticalParams(as_fraction(gamma), as_fraction(alpha), k)
     return _oracle_from_parts(params, params.step_gains(), method)
@@ -173,14 +200,17 @@ def _oracle_from_parts(
     params: CriticalParams, gains: list[Fraction], method: str = "closed"
 ) -> SetFunctionOracle:
     # Split out so tests can inject corrupted gain tables (fault injection).
+    k = params.k
+    blocks = ()
     if method == "closed":
         evaluate = _closed_eval(params, gains)
+        blocks = (tuple(range(k + 1, 2 * k)),) if k >= 3 else ()  # b_2..b_k
     elif method == "exhaustive":
         evaluate = _exhaustive_eval(params, gains)
     else:
         raise ParameterError(f"unknown evaluation method {method!r}")
-    name = f"critical(gamma={params.gamma},alpha={params.alpha},k={params.k},{method})"
-    return SetFunctionOracle(_critical_ground(params.k), evaluate, name=name)
+    name = f"critical(gamma={params.gamma},alpha={params.alpha},k={k},{method})"
+    return SetFunctionOracle(_critical_ground(k), evaluate, name=name, blocks=blocks)
 
 
 def critical_ratio_closed_form(gamma, alpha, k: int) -> Fraction:
@@ -239,7 +269,8 @@ def make_rank_separator(q, alpha, m: int, n: int) -> tuple[IndependenceSystem, S
     the subsets of A, the subsets of B, and everything of size at most
     ceil(alpha)*m.  The extra element is indexed last; a tie policy that
     prefers it (e.g. "high") drives the greedy chain into the saturated set
-    whose joint gains expose the zero ratio.
+    whose joint gains expose the zero ratio.  A and B are declared blocks,
+    which ``IndependenceSystem.validate`` certifies.
     """
     q = as_fraction(q)
     alpha = as_fraction(alpha)
@@ -269,15 +300,21 @@ def make_rank_separator(q, alpha, m: int, n: int) -> tuple[IndependenceSystem, S
         return mask & ~a_mask == 0 or mask & ~b_mask == 0 or mask.bit_count() <= size_cap
 
     system = IndependenceSystem(
-        GroundSet(total, labels), independent, weights, name=f"rank_separator(m={m},n={n},a={alpha})"
+        GroundSet(total, labels), independent, weights,
+        name=f"rank_separator(m={m},n={n},a={alpha})",
+        blocks=(tuple(range(block)), tuple(range(block, 2 * block))),  # A and B
     )
     return system, weighted_rank_oracle(system)
 
 
 def make_square_cardinality(n: int) -> SetFunctionOracle:
-    """Objective |X|**2: greedy-optimal, yet outside every audited class."""
+    """Objective |X|**2: greedy-optimal, yet outside every audited class.
+
+    It reads a mask only through its size, so every element is in one block.
+    """
     return SetFunctionOracle(
-        GroundSet(n), lambda mask: Fraction(mask.bit_count()) ** 2, name=f"square(n={n})"
+        GroundSet(n), lambda mask: Fraction(mask.bit_count()) ** 2, name=f"square(n={n})",
+        blocks=(tuple(range(n)),) if n >= 2 else (),
     )
 
 

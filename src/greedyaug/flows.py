@@ -49,6 +49,7 @@ from functools import cached_property
 
 from . import exactlp
 from .core import (
+    Blocks,
     GroundSet,
     ParameterError,
     SetFunctionOracle,
@@ -174,7 +175,7 @@ class FlowInstance:
         return tuple(rows), tuple(rhs) + (0,) * len(balance), len(flow)
 
     @cached_property
-    def twin_sinks(self) -> tuple[tuple[int, ...], ...]:
+    def twin_sinks(self) -> Blocks:
         """Classes of two or more interchangeable sinks, as ascending sink indices.
 
         Sinks are twins when no arc leaves either and their in-arcs agree in
@@ -190,7 +191,7 @@ class FlowInstance:
         for j, t in enumerate(self.sinks):
             if t not in leaves:
                 classes[tuple(sorted(into[t]))].append(j)
-        return tuple(tuple(c) for c in classes.values() if len(c) > 1)
+        return Blocks((c for c in classes.values() if len(c) > 1), len(self.sinks))
 
     def vertex_label(self, v: int) -> str:
         return self.labels[v] if self.labels else f"v{v}"
@@ -287,18 +288,15 @@ def objective_oracle(inst: FlowInstance) -> SetFunctionOracle:
     capacity: it maps each feasible flow and demand vector of X onto one of
     the swapped X, and f(X) = f(sigma X) for every permutation sigma inside a
     class, an unbounded X included.  So f(X) depends only on how many members
-    of each class X holds.  A mask is read as the least mask of its orbit,
-    the same count of members at each class's lowest sink indices, through
-    this oracle's own cache, and only those least masks reach
-    ``evaluate_objective``.
+    of each class X holds.  A mask is read as the least mask of its orbit
+    (``Blocks.least``), the same count of members at each class's lowest sink
+    indices, through this oracle's own cache, and only those least masks
+    reach ``evaluate_objective``.  The classes are found on the first
+    evaluation, not when the oracle is built.
     """
 
     def evaluate(mask):
-        least = mask
-        for members in inst.twin_sinks:
-            held = sum(mask >> j & 1 for j in members)
-            for r, j in enumerate(members):
-                least = least | 1 << j if r < held else least & ~(1 << j)
+        least = inst.twin_sinks.least(mask)
         return evaluate_objective(inst, mask) if least == mask else oracle.value(least)
 
     oracle = SetFunctionOracle(inst.sink_ground(), evaluate, name=inst.name)
@@ -310,9 +308,14 @@ def excess_upper_bound(inst: FlowInstance):
 
     Any feasible flow assignment gives each selected sink at most its
     singleton optimum, so the sum bounds every subset's value.  Useful for
-    pruning brute-force sweeps over expensive LP evaluations.
+    pruning brute-force sweeps over expensive LP evaluations.  Twin sinks
+    share their singleton optimum, so one LP is solved per class of twins.
     """
-    singles = [evaluate_objective(inst, 1 << i) for i in range(len(inst.sinks))]
+    singles: list[Fraction] = []
+    for i in range(len(inst.sinks)):
+        least = inst.twin_sinks.least(1 << i)  # its class's lowest sink, solved first
+        singles.append(evaluate_objective(inst, 1 << i) if least == 1 << i
+                       else singles[least.bit_length() - 1])
 
     def bound(mask: int) -> Fraction:
         if not 0 <= mask < 1 << len(singles):

@@ -5,6 +5,16 @@ contains the empty set.  Its weighted rank function values a subset X by the
 heaviest independent subset of X; with nonnegative weights this collapses to
 ``w(X)`` whenever X itself is independent, otherwise the best single-element
 removal, which is what the memoized evaluator exploits.
+
+A system may declare ``blocks`` of interchangeable elements (``core.Blocks``):
+equal weights inside each block, and an independence predicate that a
+permutation inside a block cannot change.  ``validate`` certifies both
+against the data: equal weights, and independent(X) == independent(least(X))
+on every mask, read from the predicate values its closure check has cached.
+A false declaration is a ``MalformedSystem``, never a silent fallback.  The
+weighted rank function of a certified system is then unchanged by those
+permutations too, so its oracle carries the same blocks and evaluates least
+masks only.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import (
+    Blocks,
     GroundSet,
     ParameterError,
     SetFunctionOracle,
@@ -23,17 +34,21 @@ from .core import (
     greedy_adaptive,
     indices_of,
     iter_submasks,
+    mask_of,
     require_budget,
     saturation_point,
 )
 
 
 class MalformedSystem(ValueError):
-    """The independence predicate is not subset-closed (or rejects the empty set)."""
+    """The independence predicate is not subset-closed (or rejects the empty
+    set), or a declared block is not interchangeable."""
 
 
 class IndependenceSystem:
-    """Ground set + independence predicate on bitmasks + nonnegative weights."""
+    """Ground set + independence predicate on bitmasks + nonnegative weights,
+    and optionally ``blocks`` of interchangeable elements that ``validate``
+    certifies."""
 
     def __init__(
         self,
@@ -41,11 +56,14 @@ class IndependenceSystem:
         predicate: Callable[[int], bool],
         weights: Sequence,
         name: str = "system",
+        *,
+        blocks=(),
     ):
         if len(weights) != ground.n:
             raise MalformedSystem("weights length must equal ground set size")
         self.ground = ground
         self.name = name
+        self.blocks = Blocks(blocks, ground.n)
         self.weights = tuple(as_fraction(w) for w in weights)
         if any(w < 0 for w in self.weights):
             raise MalformedSystem("weights must be nonnegative")
@@ -73,17 +91,31 @@ class IndependenceSystem:
         return total
 
     def validate(self) -> None:
-        """Check the empty set and subset closure; raise MalformedSystem on failure.
+        """Check the empty set, subset closure and the declared blocks; raise
+        MalformedSystem on failure.
 
         Exhaustive over all 2**n masks, O(n * 2**n) predicate lookups: no more
         than the rank oracle and ``rank_quotient`` that call it already cost.
-        The verdict is kept, so a repeat call makes no lookup, and a malformed
+        The blocks are then checked on the cached predicate values.  The
+        verdict is kept, so a repeat call makes no lookup, and a malformed
         system is refused with the same message on every call.
         """
         if self._verdict is None:
-            self._verdict = self._closure_violation()
+            self._verdict = self._closure_violation() or self._block_violation()
         if self._verdict:
             raise MalformedSystem(self._verdict)
+
+    def _block_violation(self) -> str:
+        for block in self.blocks:
+            if len({self.weights[i] for i in block}) > 1:
+                return f"{self.name}: block {block} has unequal weights"
+        for mask in range(1 << self.n):
+            least = self.blocks.least(mask)
+            if self._cache[mask] != self._cache[least]:
+                block = next(b for b in self.blocks if mask_of(b) & (mask ^ least))
+                return (f"{self.name}: block {block} is not interchangeable: "
+                        f"{indices_of(mask)} and {indices_of(least)} differ in independence")
+        return ""
 
     def _closure_violation(self) -> str:
         if not self.independent(0):
@@ -108,12 +140,20 @@ def free_system(weights: Sequence, name: str = "free") -> IndependenceSystem:
 
 
 def uniform_matroid(n: int, rank: int, weights: Sequence | None = None) -> IndependenceSystem:
-    """Independent iff cardinality <= rank."""
+    """Independent iff cardinality <= rank.
+
+    The predicate reads only the size, so each class of two or more elements
+    of equal weight is declared a block.
+    """
     if weights is None:
         weights = [1] * n
     ground = GroundSet(n)
+    classes: dict[Fraction, list[int]] = {}
+    for i, w in enumerate(weights):
+        classes.setdefault(as_fraction(w), []).append(i)
     return IndependenceSystem(
-        ground, lambda mask: mask.bit_count() <= rank, weights, name=f"uniform(n={n},r={rank})"
+        ground, lambda mask: mask.bit_count() <= rank, weights, name=f"uniform(n={n},r={rank})",
+        blocks=[c for c in classes.values() if len(c) > 1],
     )
 
 
@@ -138,30 +178,30 @@ def random_downward_closed_system(n: int, rng: random.Random) -> IndependenceSys
 
 
 def weighted_rank_oracle(sys: IndependenceSystem) -> SetFunctionOracle:
-    """Oracle for max weight of an independent subset of X (exhaustive, exact)."""
+    """Oracle for max weight of an independent subset of X (exhaustive, exact).
+
+    It carries the system's certified blocks, and the rank recursion reads
+    each single-element removal through the oracle, so every mask it needs
+    is evaluated once, as its least mask.
+    """
     require_budget(sys.n << sys.n, f"rank oracle over n={sys.n}")  # the cost of validate
     sys.validate()
-    memo: dict[int, Fraction] = {0: Fraction(0)}
 
     def rank(mask: int) -> Fraction:
-        known = memo.get(mask)
-        if known is not None:
-            return known
         if sys.independent(mask):
-            value = sys.weight(mask)
-        else:
-            value = Fraction(0)
-            probe = mask
-            while probe:
-                low = probe & -probe
-                sub = rank(mask ^ low)
-                if sub > value:
-                    value = sub
-                probe ^= low
-        memo[mask] = value
+            return sys.weight(mask)
+        value = Fraction(0)
+        probe = mask
+        while probe:
+            low = probe & -probe
+            sub = oracle.value(mask ^ low)
+            if sub > value:
+                value = sub
+            probe ^= low
         return value
 
-    return SetFunctionOracle(sys.ground, rank, name=f"rank[{sys.name}]")
+    oracle = SetFunctionOracle(sys.ground, rank, name=f"rank[{sys.name}]", blocks=sys.blocks)
+    return oracle
 
 
 @dataclass(frozen=True)

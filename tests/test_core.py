@@ -148,6 +148,8 @@ SWEEPS = [
     pytest.param(ga.check_exchange_equivalences, lambda n: n * 2**n, 20,
                  id="check_exchange_equivalences"),
     pytest.param(ga.rank_quotient, lambda n: 3**n + 2 * n * 2**n, 16, id="rank_quotient"),
+    pytest.param(lambda f: ga.greedy_adaptive(f, f.n), lambda n: n * n, 4097,
+                 id="greedy_adaptive"),
 ]
 SYSTEM_SWEEPS = {ga.weighted_rank_oracle, ga.check_exchange_equivalences, ga.rank_quotient}
 
@@ -163,6 +165,20 @@ def test_sweep_refused_past_budget_before_evaluating(sweep, steps, n):
     assert f"n={n}: {steps(n)} steps exceed the budget of {ga.core.MAX_STEPS}" in str(
         excinfo.value
     )
+
+
+def test_blocks_least_masks_and_representatives():
+    blocks = ga.Blocks([(1, 3, 4), (2, 5)], 6)
+    assert blocks == ((1, 3, 4), (2, 5))
+    assert blocks.least(ga.mask_of([0, 4, 5])) == ga.mask_of([0, 1, 2])
+    assert blocks.least(ga.mask_of([3, 4, 5, 2])) == ga.mask_of([1, 3, 2, 5])
+    reps = blocks.representatives()
+    assert reps == sorted({blocks.least(mask) for mask in range(64)})
+    assert len(reps) == 2 * 4 * 3
+    for mask in range(64):  # the least mask is also the lexicographically smallest
+        rep = blocks.least(mask)
+        assert rep <= mask and ga.indices_of(rep) <= ga.indices_of(mask)
+    assert ga.Blocks((), 3).representatives() == range(8)
 
 
 def test_unknown_scope_refused_before_budget():

@@ -402,6 +402,20 @@ def test_staircase_pivot_path_is_pinned(monkeypatch, alpha, k, run, expected, so
     assert counts == reduced
 
 
+@pytest.mark.parametrize("alpha, k, solves", [(1, 3, 4), (2, 2, 6)])
+def test_excess_upper_bound_solves_one_singleton_per_twin_class(monkeypatch, alpha, k, solves):
+    """gk(1,3) has 6 sinks and gk(2,2) 8, and their decoy classes leave 4 and 6
+    distinct singletons; the bound still equals the sum of per-sink solves."""
+    fresh = ga.make_lower_bound_instance(alpha, k)
+    n = len(fresh.sinks)
+    singles = [ga.evaluate_objective(fresh, 1 << i) for i in range(n)]
+    counts = count_solves(monkeypatch)
+    bound = ga.excess_upper_bound(ga.make_lower_bound_instance(alpha, k))
+    assert counts[0] == solves
+    assert [bound(1 << i) for i in range(n)] == singles
+    assert bound((1 << n) - 1) == sum(singles)
+
+
 class TestTwinSinks:
     def test_built_families(self):
         assert ga.make_two_sink_instance(2).twin_sinks == ((0, 1),)

@@ -1,0 +1,206 @@
+"""Block-symmetric oracles against unreduced oracles over the same values.
+
+A family that declares ``blocks`` of interchangeable elements evaluates one
+least mask per orbit and sweeps optima over those representatives alone.
+Every result must be the one of an oracle that declares nothing and
+evaluates every mask itself.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import greedyaug as ga
+from greedyaug.families import CriticalParams, _closed_eval
+
+F = Fraction
+HALF = F(1, 2)
+
+
+def plain_critical(gamma, alpha, k):
+    """The closed critical evaluator on every mask, with no blocks."""
+    params = CriticalParams(F(gamma), F(alpha), k)
+    return ga.SetFunctionOracle(ga.families._critical_ground(k),
+                                _closed_eval(params, params.step_gains()))
+
+
+def plain_system(system):
+    """The same predicate and weights with no blocks declared."""
+    return ga.IndependenceSystem(system.ground, system.independent, system.weights,
+                                 name=system.name)
+
+
+def audits(f, gamma, alphas, scope, tie):
+    """Weak ratio (weak scope), audit reports and least alpha of f, in one order."""
+    out = [ga.weak_submodularity_ratio(f, tie)] if scope == "weak" else []
+    for alpha in alphas:
+        if alpha >= 1:
+            out.append(ga.check_alpha_augmentable(f, alpha, scope, tie).to_json_dict())
+        if alpha >= gamma:
+            out.append(ga.check_gamma_alpha_augmentable(f, gamma, alpha, scope, tie).to_json_dict())
+    return out + [ga.min_alpha_for(f, gamma, scope, tie)]
+
+
+def assert_same_results(reduced, plain, gamma, alphas, strong=True):
+    """Tables, optima, ratios, audits and least alphas agree."""
+    assert reduced.table() == plain.table()
+    assert ga.optimum_profile(reduced) == ga.optimum_profile(plain)
+    for variant in ("adaptive", "nonadaptive"):
+        for tie in ("low", "high"):
+            assert (ga.approximation_ratio(reduced, tie, variant)
+                    == ga.approximation_ratio(plain, tie, variant))
+    scopes = [("weak", "low"), ("weak", "high")] + ([("strong", "low")] if strong else [])
+    for scope, tie in scopes:
+        assert (audits(reduced, gamma, alphas, scope, tie)
+                == audits(plain, gamma, alphas, scope, tie))
+
+
+@pytest.mark.parametrize("gamma, alpha, k", [
+    (1, 1, 2), (HALF, 1, 3), (1, 2, 4), (HALF, F(3, 2), 5), (1, F(4, 3), 6),
+])
+def test_critical_matches_unreduced(gamma, alpha, k):
+    reduced = ga.make_critical_function(gamma, alpha, k)
+    assert reduced.blocks == ((tuple(range(k + 1, 2 * k)),) if k >= 3 else ())
+    assert_same_results(reduced, plain_critical(gamma, alpha, k), gamma,
+                        [gamma, alpha, F(9, 10) * alpha, 2], strong=k <= 5)
+
+
+def test_critical_matches_unreduced_in_strong_scope_at_n12():
+    reduced, plain = ga.make_critical_function(HALF, 1, 6), plain_critical(HALF, 1, 6)
+    alphas = [HALF, F(9, 10), 1]
+    assert (audits(reduced, HALF, alphas, "strong", "low")
+            == audits(plain, HALF, alphas, "strong", "low"))
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_square_matches_unreduced(n):
+    reduced = ga.make_square_cardinality(n)
+    assert reduced.blocks == (tuple(range(n)),)
+    plain = ga.SetFunctionOracle(ga.GroundSet(n), lambda m: F(m.bit_count()) ** 2)
+    assert_same_results(reduced, plain, HALF, [HALF, 1, 2])
+
+
+@pytest.mark.parametrize("n, rank, weights", [
+    (7, 3, [1, 2, 1, 2, 1, 3, 1]),
+    (6, 2, [HALF, HALF, 2, 2, 2, 1]),
+    (5, 5, [1] * 5),
+])
+def test_uniform_matroid_matches_unreduced(n, rank, weights):
+    system = ga.uniform_matroid(n, rank, weights)
+    plain = plain_system(system)
+    assert system.blocks == tuple(
+        tuple(i for i in range(n) if weights[i] == w)
+        for w in dict.fromkeys(weights) if weights.count(w) > 1)
+    assert_same_results(ga.weighted_rank_oracle(system), ga.weighted_rank_oracle(plain), 1,
+                        [1, F(3, 2), 2])
+    assert ga.rank_quotient(system) == ga.rank_quotient(plain)
+
+
+@pytest.mark.parametrize("q, alpha, m, n", [(HALF, 1, 1, 2), (HALF, 1, 3, 5),
+                                            (F(1, 3), F(3, 2), 1, 3)])
+def test_rank_separator_matches_unreduced(q, alpha, m, n):
+    system, reduced = ga.make_rank_separator(q, alpha, m, n)
+    block = len(system.blocks[0])
+    assert system.blocks == (tuple(range(block)), tuple(range(block, 2 * block)))
+    assert reduced.blocks == system.blocks
+    plain = plain_system(system)
+    assert_same_results(reduced, ga.weighted_rank_oracle(plain), 1, [1, 2, 3],
+                        strong=system.n <= 9)
+    assert ga.rank_quotient(system) == ga.rank_quotient(plain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.integers(0, n),
+    st.lists(st.sampled_from([F(1), F(2), HALF]), min_size=n, max_size=n))))
+def test_uniform_matroid_with_repeated_weights_matches_unreduced(data):
+    rank, weights = data
+    system = ga.uniform_matroid(len(weights), rank, weights)
+    plain = plain_system(system)
+    assert_same_results(ga.weighted_rank_oracle(system), ga.weighted_rank_oracle(plain), 1,
+                        [1, 2])
+    assert ga.rank_quotient(system) == ga.rank_quotient(plain)
+
+
+def spied(fn, seen):
+    def evaluate(mask):
+        seen.append(mask)
+        return fn(mask)
+
+    return evaluate
+
+
+def test_fn_sees_only_least_masks_once_each():
+    k = 5
+    params = CriticalParams(HALF, F(3, 2), k)
+    seen = []
+    blocks = (tuple(range(k + 1, 2 * k)),)
+    f = ga.SetFunctionOracle(ga.families._critical_ground(k),
+                             spied(_closed_eval(params, params.step_gains()), seen), blocks=blocks)
+    ga.greedy_adaptive(f, f.n, "high")
+    profile = ga.optimum_profile(f)
+    reps = f.blocks.representatives()
+    assert len(reps) == 2 ** (k + 1) * k  # A and b_1 free, 0..k-1 of b_2..b_k
+    assert sorted(seen) == sorted(set(seen)) and set(seen) <= set(reps)
+    ga.check_alpha_augmentable(f, 2, "weak", "high")
+    ga.min_alpha_for(f, HALF, "strong")
+    assert sorted(seen) == reps
+    assert profile == ga.optimum_profile(plain_critical(HALF, F(3, 2), k))
+
+
+def test_rank_recursion_reads_only_least_masks():
+    system, f = ga.make_rank_separator(HALF, 1, 3, 5)
+    seen, independent = [], system.independent
+    system.independent = spied(independent, seen)  # validate has run: only f reads it now
+    f.table()
+    assert seen and all(system.blocks.least(mask) == mask for mask in seen)
+    assert len(set(seen)) == len(system.blocks.representatives())
+
+
+def test_optimum_sweep_reads_representatives_only():
+    seen = []
+    f = ga.SetFunctionOracle(ga.GroundSet(10), spied(lambda m: F(m.bit_count()) ** 2, seen),
+                             blocks=[range(10)])
+    profile = ga.optimum_profile(f)
+    assert sorted(seen) == [(1 << c) - 1 for c in range(11)]
+    assert [(r.best_set, r.best_value) for r in profile] == [
+        ((1 << c) - 1, c * c) for c in range(11)]
+
+
+class TestBadDeclarations:
+    def test_asymmetric_predicate_refused_naming_block_and_mask(self):
+        # independent iff inside {0, 1}: swapping 1 and 2 changes {1} into {2}
+        system = ga.IndependenceSystem(ga.GroundSet(3), lambda m: m & ~0b011 == 0, [1, 1, 1],
+                                       name="lopsided", blocks=[(1, 2)])
+        message = r"lopsided: block \(1, 2\) is not interchangeable: \(2,\) and \(1,\)"
+        with pytest.raises(ga.MalformedSystem, match=message):
+            ga.weighted_rank_oracle(system)
+        with pytest.raises(ga.MalformedSystem, match=message):
+            ga.rank_quotient(system)
+
+    def test_unequal_weights_in_a_block_refused(self):
+        system = ga.IndependenceSystem(ga.GroundSet(3), lambda m: m.bit_count() <= 1, [1, 2, 2],
+                                       name="uneven", blocks=[(0, 1)])
+        with pytest.raises(ga.MalformedSystem, match=r"uneven: block \(0, 1\) has unequal weights"):
+            ga.weighted_rank_oracle(system)
+
+    def test_certified_blocks_pass(self):
+        system = ga.IndependenceSystem(ga.GroundSet(3), lambda m: m.bit_count() <= 1, [1, 2, 2],
+                                       blocks=[(1, 2)])
+        assert ga.weighted_rank_oracle(system).table() == [0, 1, 2, 2, 2, 2, 2, 2]
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([(0, 1), (1, 2)], r"block \(1, 2\) overlaps an earlier block"),
+        ([(2, 4)], r"block \(2, 4\) is not inside 0..3"),
+        ([(-1, 0)], r"block \(-1, 0\) is not inside 0..3"),
+        ([(2, 1)], r"block \(2, 1\) is not strictly ascending"),
+        ([(1, 1)], r"block \(1, 1\) is not strictly ascending"),
+        ([(3,)], r"block \(3,\) needs at least two elements"),
+    ])
+    def test_malformed_blocks_refused_at_construction(self, blocks, message):
+        with pytest.raises(ga.ParameterError, match=message):
+            ga.SetFunctionOracle(ga.GroundSet(4), lambda m: F(0), blocks=blocks)
+        with pytest.raises(ga.ParameterError, match=message):
+            ga.IndependenceSystem(ga.GroundSet(4), lambda m: True, [1] * 4, blocks=blocks)
