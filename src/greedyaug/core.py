@@ -27,7 +27,7 @@ in each block, the same count of members at the block's lowest indices.
 That least mask is the orbit's smallest, and its sorted index tuple is the
 orbit's lexicographically smallest too: it takes each member from no higher
 an index than any other mask of the orbit.  The oracle hands its evaluator
-least masks only, and ``optimum_profile`` sweeps the least masks, the orbit
+least masks only, and both optimum sweeps read the least masks, the orbit
 representatives, alone: every value is its representative's, and the
 representative wins every tie its orbit could, so the profile is the one of
 the sweep over all 2**n masks.  Blocks come from a proof about the family
@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterable, Sequence, Union
 
 TiePolicy = Union[str, Sequence[int]]
@@ -136,7 +135,7 @@ class Blocks(tuple):
 
     def __new__(cls, blocks, n: int):
         self = super().__new__(cls, (tuple(block) for block in blocks))
-        used = 0
+        used, lows = 0, []
         for block in self:
             if len(block) < 2:
                 raise ParameterError(f"block {block} needs at least two elements")
@@ -144,15 +143,15 @@ class Blocks(tuple):
                 raise ParameterError(f"block {block} is not inside 0..{n - 1}")
             if any(a >= b for a, b in zip(block, block[1:])):
                 raise ParameterError(f"block {block} is not strictly ascending")
-            if used & mask_of(block):
+            prefixes = [0]  # masks of the block's lowest c members, c = 0..len, one OR each
+            for i in block:
+                prefixes.append(prefixes[-1] | 1 << i)
+            if used & prefixes[-1]:
                 raise ParameterError(f"block {block} overlaps an earlier block")
-            used |= mask_of(block)
+            used |= prefixes[-1]
+            lows.append((prefixes[-1], tuple(prefixes)))
         self.n = n
-        # per block: its mask, and the masks of its lowest c members for c = 0..len
-        self._lows = tuple(
-            (mask_of(block), tuple(mask_of(block[:c]) for c in range(len(block) + 1)))
-            for block in self
-        )
+        self._lows = tuple(lows)  # per block: its mask and its prefixes
         return self
 
     def least(self, mask: int) -> int:
@@ -486,7 +485,9 @@ def optimum_value(
     ``upper_bound(mask)`` must be a provable upper bound on f(mask); subsets
     whose bound cannot beat the incumbent are skipped without evaluation.
     Use when single evaluations are expensive (e.g. LP-backed objectives).
-    Without a bound this is ``brute_force_optimum(f, k).best_value``.
+    Without a bound this is ``brute_force_optimum(f, k).best_value``.  The
+    candidates are the orbit representatives of size <= k: only the value is
+    returned, and an orbit's masks share it.  The budget still counts 2**n.
     """
     if upper_bound is None:
         return brute_force_optimum(f, k).best_value
@@ -494,7 +495,7 @@ def optimum_value(
     if not 0 <= k <= n:
         raise InvalidCardinality(f"k={k} outside 0..{n}")
     require_budget(1 << n, f"optimum sweep over n={n}")
-    candidates = [mask_of(c) for size in range(k + 1) for c in combinations(range(n), size)]
+    candidates = [mask for mask in f.blocks.representatives() if mask.bit_count() <= k]
     bounds = {mask: upper_bound(mask) for mask in candidates}
     candidates.sort(key=lambda m: (bounds[m], m), reverse=True)
     best = None

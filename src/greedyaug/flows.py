@@ -26,11 +26,15 @@ both leave such arcs out).  Swapping two twins maps the digraph onto itself,
 fixes the source and keeps every capacity, so it carries each feasible flow
 and demand vector for X to one for the swapped X: f(X) = f(sigma X) for every
 permutation sigma inside a class of twins, an unbounded X included.
-``FlowInstance.twin_sinks`` finds the classes in one pass over the arcs, on
-first use, with no declaration and no check over the 2^n values, and
-``objective_oracle`` solves only the least mask of each orbit: per class, the
-same count of members at its lowest sink indices.  The staircase's decoy sinks
-form one class per commodity.
+``FlowInstance.twin_sinks`` finds the classes in one pass over the arcs, with
+no check over the 2^n values, and ``objective_oracle`` declares them as its
+``blocks`` (``core.Blocks``), so it solves only the least mask of each orbit:
+per class, the same count of members at its lowest sink indices.  The
+staircase's decoy sinks form one class per commodity.
+
+The class claim: the c-commodity objective is alpha-augmentable at alpha = c,
+and the staircase attains it: the integer-alpha half of closing the gap
+left in [Math. Prog., 2020].
 
 Capacities may be infinite.  The LP simply omits capacity rows for such arcs
 (the objective stays bounded whenever the instance is well-posed, and the
@@ -180,7 +184,7 @@ class FlowInstance:
 
         Sinks are twins when no arc leaves either and their in-arcs agree in
         tail and in every commodity's capacity, an arc whose capacities are
-        all zero counting as absent.  One pass over the arcs, on first use.
+        all zero counting as absent.  One pass over the arcs.
         """
         leaves, into = set(), defaultdict(list)
         for (u, w), caps in zip(self.arcs, zip(*self.capacities)):
@@ -288,19 +292,13 @@ def objective_oracle(inst: FlowInstance) -> SetFunctionOracle:
     capacity: it maps each feasible flow and demand vector of X onto one of
     the swapped X, and f(X) = f(sigma X) for every permutation sigma inside a
     class, an unbounded X included.  So f(X) depends only on how many members
-    of each class X holds.  A mask is read as the least mask of its orbit
-    (``Blocks.least``), the same count of members at each class's lowest sink
-    indices, through this oracle's own cache, and only those least masks
-    reach ``evaluate_objective``.  The classes are found on the first
-    evaluation, not when the oracle is built.
+    of each class X holds, and the oracle declares the classes as its
+    ``blocks``: only least masks reach ``evaluate_objective``, and the optimum
+    sweeps read one mask per orbit.  The classes are found when the oracle
+    is built.
     """
-
-    def evaluate(mask):
-        least = inst.twin_sinks.least(mask)
-        return evaluate_objective(inst, mask) if least == mask else oracle.value(least)
-
-    oracle = SetFunctionOracle(inst.sink_ground(), evaluate, name=inst.name)
-    return oracle
+    return SetFunctionOracle(inst.sink_ground(), lambda mask: evaluate_objective(inst, mask),
+                             name=inst.name, blocks=inst.twin_sinks)
 
 
 def excess_upper_bound(inst: FlowInstance):
@@ -308,14 +306,11 @@ def excess_upper_bound(inst: FlowInstance):
 
     Any feasible flow assignment gives each selected sink at most its
     singleton optimum, so the sum bounds every subset's value.  Useful for
-    pruning brute-force sweeps over expensive LP evaluations.  Twin sinks
-    share their singleton optimum, so one LP is solved per class of twins.
+    pruning brute-force sweeps over expensive LP evaluations.  The singletons
+    are read through ``objective_oracle``, so twin sinks share one LP.
     """
-    singles: list[Fraction] = []
-    for i in range(len(inst.sinks)):
-        least = inst.twin_sinks.least(1 << i)  # its class's lowest sink, solved first
-        singles.append(evaluate_objective(inst, 1 << i) if least == 1 << i
-                       else singles[least.bit_length() - 1])
+    single = objective_oracle(inst).value
+    singles = [single(1 << i) for i in range(len(inst.sinks))]
 
     def bound(mask: int) -> Fraction:
         if not 0 <= mask < 1 << len(singles):

@@ -197,11 +197,23 @@ def test_optimum_profile_matches_brute(f112):
 
 
 def test_optimum_value_pruning_agrees(f112):
-    top = f112.value(f112.ground.full_mask())
-    for k in range(5):
-        expected = ga.brute_force_optimum(f112, k).best_value
-        assert ga.optimum_value(f112, k) == expected
-        assert ga.optimum_value(f112, k, upper_bound=lambda m: top) == expected
+    """Also on oracles that declare blocks, whose bound is read on orbit
+    representatives of size <= k only."""
+    for f in (f112, ga.make_square_cardinality(5), ga.make_critical_function(F(1, 2), 1, 4)):
+        top = f.value(f.ground.full_mask())
+        reps = list(f.blocks.representatives())
+        assert f is f112 or len(reps) < 2**f.n
+        for k in range(f.n + 1):
+            bounded = []
+
+            def bound(mask):
+                bounded.append(mask)
+                return top
+
+            expected = ga.brute_force_optimum(f, k).best_value
+            assert ga.optimum_value(f, k) == expected
+            assert ga.optimum_value(f, k, upper_bound=bound) == expected
+            assert sorted(bounded) == [mask for mask in reps if mask.bit_count() <= k]
 
 
 def test_ratio_critical(f112):

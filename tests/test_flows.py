@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import greedyaug as ga
@@ -416,6 +416,20 @@ def test_excess_upper_bound_solves_one_singleton_per_twin_class(monkeypatch, alp
     assert bound((1 << n) - 1) == sum(singles)
 
 
+@pytest.mark.parametrize("alpha, k, best, counts", [
+    (1, 3, F(81, 8), [5, 24]), (2, 2, F(64), [7, 52]), (2, 3, F(2187, 32), [9, 90]),
+])
+def test_bound_pruned_sweep_is_pinned(monkeypatch, alpha, k, best, counts):
+    """The staircase optimum at alpha*k, pruned by ``excess_upper_bound`` over the
+    orbit representatives: [solves, pivots] of the bound's singletons and the
+    few selections it cannot rule out."""
+    solved = count_solves(monkeypatch)
+    inst = ga.make_lower_bound_instance(alpha, k)
+    f = ga.objective_oracle(inst)
+    assert ga.optimum_value(f, alpha * k, upper_bound=ga.excess_upper_bound(inst)) == best
+    assert solved == counts
+
+
 class TestTwinSinks:
     def test_built_families(self):
         assert ga.make_two_sink_instance(2).twin_sinks == ((0, 1),)
@@ -445,7 +459,7 @@ class TestTwinSinks:
 
     def test_only_least_masks_of_orbits_are_solved(self, monkeypatch):
         """gk(2,2) has classes (4, 5) and (6, 7): 2^4 * 3 * 3 = 144 orbits, the
-        empty mask included, and the classes are found on first evaluation."""
+        empty mask included, and the oracle declares them as its blocks."""
         inst = ga.make_lower_bound_instance(2, 2)
         solved, evaluate = [], ga.flows.evaluate_objective
 
@@ -455,7 +469,7 @@ class TestTwinSinks:
 
         monkeypatch.setattr(ga.flows, "evaluate_objective", spy)
         oracle = ga.objective_oracle(inst)
-        assert "twin_sinks" not in vars(inst)
+        assert oracle.blocks == inst.twin_sinks
         assert oracle.table() == plain_oracle(ga.make_lower_bound_instance(2, 2)).table()
         assert inst.twin_sinks == ((4, 5), (6, 7))
         assert len(solved) == len(set(solved)) == 144
@@ -497,6 +511,20 @@ def test_reduced_oracle_matches_direct_solves(inst, data):
     direct = dataclasses.replace(inst)
     for mask in data.draw(st.permutations(range(1 << len(inst.sinks)))):
         assert outcome(oracle.value, mask) == outcome(ga.evaluate_objective, direct, mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(flow_instances(), instances_with_twins()))
+def test_objective_is_augmentable_at_its_commodity_count_on_random_instances(inst):
+    """The class claim beyond the built families: the c-commodity objective is
+    strongly alpha-augmentable at alpha = c, and greedy meets the bound of that
+    class.  Only bounded draws: values grow with the selection, so a bounded
+    full selection bounds every other one."""
+    f = ga.objective_oracle(inst)
+    assume(outcome(f.value, f.ground.full_mask()) != "unbounded")
+    c = inst.commodities
+    assert ga.min_alpha_for(f, 1, scope="strong") <= c
+    assert all(record.ok for record in ga.certify_greedy_bound(f, 1, c))
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import greedyaug as ga
 from greedyaug.families import CriticalParams, _closed_eval
+from test_flows import plain_oracle
 
 F = Fraction
 HALF = F(1, 2)
@@ -43,10 +44,19 @@ def audits(f, gamma, alphas, scope, tie):
     return out + [ga.min_alpha_for(f, gamma, scope, tie)]
 
 
-def assert_same_results(reduced, plain, gamma, alphas, strong=True):
-    """Tables, optima, ratios, audits and least alphas agree."""
+def assert_same_results(reduced, plain, gamma, alphas, strong=True, upper_bound=None):
+    """Tables, optima (bound-pruned too), ratios, audits and least alphas agree.
+
+    ``upper_bound`` defaults to f(full), which bounds every value of a monotone f."""
     assert reduced.table() == plain.table()
-    assert ga.optimum_profile(reduced) == ga.optimum_profile(plain)
+    profile = ga.optimum_profile(plain)
+    assert ga.optimum_profile(reduced) == profile
+    if upper_bound is None:
+        top = plain.value(plain.ground.full_mask())
+        upper_bound = lambda mask: top
+    for k in range(plain.n + 1):
+        assert (ga.optimum_value(reduced, k, upper_bound=upper_bound)
+                == ga.optimum_value(plain, k, upper_bound=upper_bound) == profile[k].best_value)
     for variant in ("adaptive", "nonadaptive"):
         for tie in ("low", "high"):
             assert (ga.approximation_ratio(reduced, tie, variant)
@@ -122,6 +132,21 @@ def test_uniform_matroid_with_repeated_weights_matches_unreduced(data):
     assert_same_results(ga.weighted_rank_oracle(system), ga.weighted_rank_oracle(plain), 1,
                         [1, 2])
     assert ga.rank_quotient(system) == ga.rank_quotient(plain)
+
+
+@pytest.mark.parametrize("build, blocks", [
+    (lambda: ga.make_lower_bound_instance(1, 3), ((3, 4, 5),)),
+    (lambda: ga.make_lower_bound_instance(2, 2), ((4, 5), (6, 7))),
+    (lambda: ga.make_two_sink_instance(2), ((0, 1),)),
+], ids=["gk(1,3)", "gk(2,2)", "two_sink(2)"])
+def test_flow_objective_matches_unreduced(build, blocks):
+    """The flow oracle declares its twin sinks as blocks; one LP per orbit gives
+    every result of one LP per mask, the sweep pruned by the excess bound too."""
+    reduced = ga.objective_oracle(build())
+    assert reduced.blocks == blocks
+    inst = build()
+    assert_same_results(reduced, plain_oracle(inst), 1, [1, F(3, 2), 2, 3],
+                        upper_bound=ga.excess_upper_bound(inst))
 
 
 def spied(fn, seen):
