@@ -31,10 +31,32 @@ That scan and the weak ratio read one int value table from one preamble,
 weak ratio is defined for monotone f only, and both visit only the pairs with
 Y disjoint from X (see ``_least_alpha``).
 
+One pair per orbit.  When f declares ``blocks`` (``core.Blocks``), a
+permutation sigma inside the blocks preserves f, so (X, Y) and
+(sigma X, sigma Y) need the same alpha and have the same ratio.  Scan order
+is X, then Y, by mask, and within an orbit the least pair comes first: X
+the least mask of its orbit, then Y the least mask of its orbit under X's
+stabiliser, which keeps the free elements of Y and, per block, takes the
+lowest c members outside X.  Each record, each first minimum of the weak
+ratio and the first violating pair is the first pair in scan order to pass
+a bar that depends only on earlier pairs, so it is the least pair of its
+orbit, and each earlier pair's orbit has its least pair earlier still: a
+scan over those least pairs alone, in the same order, meets the same bars
+and stops at the same pairs (the method of canonical orbit
+representatives; B. D. McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998).  So strong scope runs X over the least masks;
+weak scope keeps the greedy chain, where X is given and only its
+stabiliser moves Y.  For each X, Y runs over the free subsets of its
+complement times its block parts (``_block_parts``).  Every member
+of a block outside X has the same gain at X.  ``checked_pairs`` keeps its
+closed form over all pairs: an X skipped for its orbit still counts its
+2**n - 2**|X| pairs.  With no blocks every mask is least, and the scan is
+the plain walk over all pairs.
+
 Before evaluating f, the preamble passes the step count to ``require_budget``:
 n*2**n for the monotonicity check, plus 3**n disjoint pairs for strong scope
 or at most 2**(n+1) over the greedy chain for weak scope, the weak ratio
-included.
+included.  The budget counts every pair, reduced by orbits or not.
 """
 
 from __future__ import annotations
@@ -117,6 +139,11 @@ def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
     """(in-scope X sets, f's value table scaled to ints by the LCM of its
     denominators, that LCM), once the sweep's steps are within budget.
 
+    Each X comes with the pairs the scan over all masks checks before it:
+    in strong scope the X sets are the least masks of their orbits and the
+    count runs over every mask (``_least_sets``); in weak scope they are the
+    greedy chain up to saturation, and the count runs over the chain.
+
     The table and the monotonicity verdict are the oracle's own, built on its
     first audit and kept (``SetFunctionOracle.scaled_table``).  Non-monotone f
     is refused on every call, with a set X and an element e that lowers f(X).
@@ -127,10 +154,13 @@ def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
     steps = 3**n + (n << n) if scope == "strong" else (n + 2) << n
     require_budget(steps, f"{scope}-scope audit over n={n}")
     if scope == "strong":
-        x_sets = range(1 << n)
+        x_sets = _least_sets(f.blocks)
     else:
         trace = greedy_adaptive(f, n, tie)
-        x_sets = trace.chain[: saturation_point(trace) + 1]
+        x_sets, checked = [], 0
+        for x_set in trace.chain[: saturation_point(trace) + 1]:
+            x_sets.append((x_set, checked))
+            checked += (1 << n) - (1 << x_set.bit_count())
     table, scale = f.scaled_table()
     decrease = f.first_decrease()
     if decrease is not None:
@@ -140,6 +170,40 @@ def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
             f"lowers its value; the audits need monotone f"
         )
     return x_sets, table, scale
+
+
+def _least_sets(blocks):
+    """The least masks X in ascending order, each with the pairs (X', Y), Y
+    not inside X', that a scan over every mask checks for the X' < X: a mask
+    skipped for its orbit still counts its 2**n - 2**|X'| pairs."""
+    pairs, checked = 1 << blocks.n, 0
+    for x_set, least in enumerate(blocks.least_masks()):
+        if least == x_set:
+            yield x_set, checked
+        checked += pairs - (1 << least.bit_count())
+
+
+def _block_parts(blocks, x_set, comp, table, fx):
+    """The nonempty block parts of the subsets Y of ``comp`` (the complement
+    of X), one per orbit of X's stabiliser: (part, best gain, sum of gains)
+    at X.  A part holds, per block, the lowest c of its members in comp
+    (``Blocks.choices``); the permutations inside the blocks that fix X move
+    those members among themselves, so they share one gain at X."""
+    parts = [(0, 0, 0)]
+    for choice in blocks.choices(comp & ~blocks.free):
+        g = table[x_set | choice[0]] - fx
+        parts += [(part | pick, best if best > g else g, total + c * g)
+                  for c, pick in enumerate(choice, 1) for part, best, total in parts]
+    return parts[1:]
+
+
+def _subsets(bits) -> list[int]:
+    """Every subset of the ascending single-element masks ``bits``, {} first,
+    in ascending order."""
+    sets = [0]
+    for bit in bits:
+        sets += [y_set | bit for y_set in sets]
+    return sets
 
 
 def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
@@ -172,8 +236,8 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
     needing more than any bar is disjoint and the largest need is reached on a
     disjoint pair: the verdict, the witness and the least alpha are those of
     the scan over all pairs.  ``checked`` counts the pairs that scan would
-    examine: 2**n - 2**|X| for each finished X, and at a record (X, Y) the
-    Y' <= Y not inside X.
+    examine: 2**n - 2**|X| for each finished X, skipped for its orbit or
+    not, and at a record (X, Y) the Y' <= Y not inside X.
     """
     if existential not in ("full", "difference"):
         raise ParameterError(f"unknown existential scope {existential!r}")
@@ -183,7 +247,7 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
         key += (tie if isinstance(tie, str) else tuple(tie),)
     kept = f.scans.get(key)
     if kept is None:
-        kept = f.scans[key] = [[], _scan(f.n, x_sets, table, scale, gamma)]
+        kept = f.scans[key] = [[], _scan(f.blocks, x_sets, table, scale, gamma)]
     records, i = kept[0], 0
     while True:
         if i == len(records):
@@ -201,32 +265,66 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
         i += 1
 
 
-def _scan(n, x_sets, table, scale, gamma):
-    """Yield the records of ``_least_alpha`` for the scope sets ``x_sets``.
+def _scan(blocks, x_sets, table, scale, gamma):
+    """Yield the records of ``_least_alpha`` for the scope sets ``x_sets``,
+    visiting one pair per orbit of the oracle's ``blocks`` (see the module
+    docstring).
 
     It runs on the int table of ``_audit_table``: with gamma = p/q and the
     running least alpha a/b, the pair needs more when
     b*(p*T - q*|Y|*G) > a*q*F, for the scaled values T = f(X+Y), F = f(X) and
-    best gain G.  Y runs over the nonempty submasks of the complement of X in
-    increasing order, so best[Y] extends best[Y minus its lowest element].
+    best gain G.  A subset Y of the complement of X is a set of its free
+    elements, walked in increasing order so that best[Y] extends best[Y minus
+    its lowest element], joined to one of X's block parts
+    (``_block_parts``).  The bar only rises, so every record at X passes the
+    bar at X's start, and a free set also passes the bar that the free sets
+    before it raise, as they come first in mask order.  The pairs that pass
+    are then replayed in mask order from X's start.  At f(X) = 0 the first
+    passing pair ends the scan, so the walk stops there and the block parts
+    join only the free sets below it.
     """
+    n, free_elements = blocks.n, blocks.free
     full = (1 << n) - 1
+    in_blocks = full & ~free_elements
     sizes = [y_set.bit_count() for y_set in range(1 << n)]
     best = [0] * (1 << n)  # best[Y] = best gain at X of an element of Y, scaled
     p, q = gamma.numerator, gamma.denominator
     a, b = p, q  # the least alpha so far, a/b
-    checked = 0
-    for x_set in x_sets:
+    for x_set, checked in x_sets:
         comp, fx = full ^ x_set, table[x_set]
-        gains = {1 << e: table[x_set | 1 << e] - fx for e in range(n) if comp >> e & 1}
+        free = comp & free_elements
+        gains = {1 << e: table[x_set | 1 << e] - fx for e in range(n) if free >> e & 1}
         pb, qb, bar = p * b, q * b, a * q * fx
+        walk_pb, walk_qb, walk_bar = pb, qb, bar  # raised by each free set that passes
+        passing, stop = [], free
         y_set = 0
-        while y_set := (y_set - comp) & comp:
+        while y_set := (y_set - free) & free:
             low = y_set & -y_set
             g, prev = gains[low], best[y_set ^ low]
             if prev > g:
                 g = prev
             best[y_set] = g
+            if walk_pb * table[x_set | y_set] - walk_qb * g * sizes[y_set] > walk_bar:
+                passing.append((y_set, g))
+                if not fx:
+                    stop = y_set
+                    break
+                need_a, need_b = p * table[x_set | y_set] - q * g * sizes[y_set], q * fx
+                walk_pb, walk_qb, walk_bar = p * need_b, q * need_b, need_a * q * fx
+        if comp & in_blocks:
+            free_sets = _subsets(gains)
+            for part, part_gain, _ in _block_parts(blocks, x_set, comp, table, fx):
+                for y_free in free_sets:
+                    if y_free > stop:
+                        break
+                    g, y_set = best[y_free], y_free | part
+                    if part_gain > g:
+                        g = part_gain
+                    if pb * table[x_set | y_set] - qb * g * sizes[y_set] > bar:
+                        passing.append((y_set, g))
+        if not passing:
+            continue
+        for y_set, g in sorted(passing):
             if pb * table[x_set | y_set] - qb * g * sizes[y_set] <= bar:
                 continue
             top = 1 << y_set.bit_length() - 1  # Y' <= Y inside X: the subsets of X below top
@@ -237,8 +335,7 @@ def _scan(n, x_sets, table, scale, gamma):
             a, b = p * table[x_set | y_set] - q * g * sizes[y_set], q * fx
             pb, qb, bar = p * b, q * b, a * q * fx
             yield Fraction(a, b), x_set, y_set, Fraction(g, scale), at
-        checked += (1 << n) - (1 << sizes[x_set])
-    yield Fraction(a, b), None, None, None, checked
+    yield Fraction(a, b), None, None, None, checked + (1 << n) - (1 << sizes[x_set])
 
 
 def _augmentability_audit(f, gamma, alpha, scope, tie, existential):
@@ -292,22 +389,39 @@ def weak_submodularity_ratio(f: SetFunctionOracle, tie: TiePolicy = "low") -> Ra
     reaches the minimum (X = Y = {} when it is 1).  Pairs with zero joint gain
     count as 1 when the singleton sum is zero too and are excluded (treated as
     +inf) otherwise.  On the int table of ``_audit_table`` (its scale cancels)
-    sums[Y] extends sums[Y minus its lowest element], and sum/joint < num/den
-    is decided as sum*den < num*joint.
+    sum/joint < num/den is decided as sum*den < num*joint.  Y runs over one
+    subset per orbit of X's stabiliser, as in ``_scan``: sums[Y] of its free
+    part extends sums[Y minus its lowest element], the bar only falls, and
+    the pairs that pass it are replayed in mask order (see the module
+    docstring).
     """
     x_sets, table, _ = _audit_table(f, "weak", tie)
-    n = f.n
+    n, blocks = f.n, f.blocks
     full = (1 << n) - 1
     sums = [0] * (1 << n)  # sums[Y] = sum of the singleton gains at X over Y, scaled
     num, den, x_best, y_best = 1, 1, 0, 0
     checked = 0
-    for x_set in x_sets:
+    for x_set, _ in x_sets:
         comp, fx = full ^ x_set, table[x_set]
-        gains = {1 << e: table[x_set | 1 << e] - fx for e in range(n) if comp >> e & 1}
+        free = comp & blocks.free
+        gains = {1 << e: table[x_set | 1 << e] - fx for e in range(n) if free >> e & 1}
+        passing, walk_num, walk_den = [], num, den  # lowered by each free set that passes
         y_set = 0
-        while y_set := (y_set - comp) & comp:
+        while y_set := (y_set - free) & free:
             low = y_set & -y_set
             total = sums[y_set] = sums[y_set ^ low] + gains[low]
+            joint = table[x_set | y_set] - fx
+            if total * walk_den < walk_num * joint:
+                passing.append((y_set, total))
+                walk_num, walk_den = total, joint
+        parts = _block_parts(blocks, x_set, comp, table, fx)
+        free_sets = _subsets(gains) if parts else ()
+        for part, _, part_sum in parts:
+            for y_free in free_sets:
+                total, y_set = sums[y_free] + part_sum, y_free | part
+                if total * den < num * (table[x_set | y_set] - fx):
+                    passing.append((y_set, total))
+        for y_set, total in sorted(passing):
             joint = table[x_set | y_set] - fx
             if total * den < num * joint:  # never at joint 0: 0/0 is 1, positive/0 +inf
                 num, den, x_best, y_best = total, joint, x_set, y_set

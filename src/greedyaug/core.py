@@ -32,6 +32,10 @@ representatives, alone: every value is its representative's, and the
 representative wins every tie its orbit could, so the profile is the one of
 the sweep over all 2**n masks.  Blocks come from a proof about the family
 or from a check against its data, never from the caller's say-so.
+The monotonicity check (``first_decrease``) reads the least masks X with
+every element e, since (X, e) and its image under a permutation inside the
+blocks compare the same two values, and the audits visit one pair per orbit
+too (see ``audit``).
 """
 
 from __future__ import annotations
@@ -129,13 +133,17 @@ class Blocks(tuple):
     """Disjoint blocks of interchangeable elements of 0..n-1: ascending index
     tuples of at least two elements each, refused with ``ParameterError``
     otherwise.  ``least`` maps a mask to the least mask of its orbit under
-    permutations inside each block, and ``representatives`` lists those least
-    masks in ascending order.
+    permutations inside each block, ``representatives`` lists those least
+    masks in ascending order, and ``free`` is the mask of the elements in no
+    block.
+
+    Each block keeps its mask and its members followed by n, so the lowest c
+    members are ``block & (1 << ends[c]) - 1``: memory linear in the block.
     """
 
     def __new__(cls, blocks, n: int):
         self = super().__new__(cls, (tuple(block) for block in blocks))
-        used, lows = 0, []
+        used, ends = 0, []
         for block in self:
             if len(block) < 2:
                 raise ParameterError(f"block {block} needs at least two elements")
@@ -143,34 +151,70 @@ class Blocks(tuple):
                 raise ParameterError(f"block {block} is not inside 0..{n - 1}")
             if any(a >= b for a, b in zip(block, block[1:])):
                 raise ParameterError(f"block {block} is not strictly ascending")
-            prefixes = [0]  # masks of the block's lowest c members, c = 0..len, one OR each
-            for i in block:
-                prefixes.append(prefixes[-1] | 1 << i)
-            if used & prefixes[-1]:
+            mask = mask_of(block)
+            if used & mask:
                 raise ParameterError(f"block {block} overlaps an earlier block")
-            used |= prefixes[-1]
-            lows.append((prefixes[-1], tuple(prefixes)))
+            used |= mask
+            ends.append((mask, block + (n,)))
         self.n = n
-        self._lows = tuple(lows)  # per block: its mask and its prefixes
+        self.free = (1 << n) - 1 & ~used
+        self._ends = tuple(ends)  # per block: its mask, then its members and n
         return self
 
     def least(self, mask: int) -> int:
-        for block, lows in self._lows:
-            mask = mask & ~block | lows[(mask & block).bit_count()]
+        for block, ends in self._ends:
+            mask = mask & ~block | block & (1 << ends[(mask & block).bit_count()]) - 1
         return mask
+
+    def least_masks(self):
+        """``least(mask)`` at index mask, for all 2**n masks: ``range`` when
+        there is no block.  Built one element at a time: a mask below 2**i
+        with element i added keeps its least mask and, if i is in a block,
+        gains that block's next member."""
+        if not self:
+            return range(1 << self.n)
+        out = [0]
+        block_of = {i: block for block in self._ends for i in block[1][:-1]}
+        for i in range(self.n):
+            block = block_of.get(i)
+            if block is None:
+                out += [least | 1 << i for least in out]
+            else:
+                mask, members = block
+                out += [least | 1 << members[(least & mask).bit_count()] for least in out]
+        return out
+
+    def choices(self, mask: int) -> list[tuple[int, ...]]:
+        """What a representative subset of ``mask`` may add, one pick per
+        entry: each free element of mask alone, and for each block that meets
+        mask, the lowest 1, 2, ... of its members inside mask.
+
+        The permutations that move the members of each block inside mask
+        among themselves map a subset of mask to one whose every block part is
+        such a prefix, and that subset is the least mask of its orbit, so the
+        products of the picks (none from an entry included) are one subset per
+        orbit.  Each entry's first mask is one element.
+        """
+        free = mask & self.free
+        out = [(1 << i,) for i in range(free.bit_length()) if free >> i & 1]
+        for block, _ in self._ends:
+            inside, prefix, prefixes = block & mask, 0, []
+            while inside:
+                low = inside & -inside
+                prefix |= low
+                prefixes.append(prefix)
+                inside ^= low
+            if prefixes:
+                out.append(tuple(prefixes))
+        return out
 
     def representatives(self):
         """The least masks in ascending order: every mask when there is no block."""
         if not self:
             return range(1 << self.n)
         masks = [0]
-        free = (1 << self.n) - 1
-        for block, _ in self._lows:
-            free &= ~block
-        for i in indices_of(free):
-            masks += [mask | 1 << i for mask in masks]
-        for _, lows in self._lows:
-            masks = [mask | low for mask in masks for low in lows]
+        for choice in self.choices((1 << self.n) - 1):
+            masks += [mask | pick for pick in choice for mask in masks]
         masks.sort()
         return masks
 
@@ -217,7 +261,8 @@ class SetFunctionOracle:
     ``first_decrease()`` decides monotonicity once on that table and keeps
     the verdict; this type refuses nothing itself, the augmentability audits
     refuse non-monotone input on every call.  ``scans`` holds the audits'
-    resumable least-alpha scans (``audit._least_alpha``).
+    resumable least-alpha scans (``audit._least_alpha``), and ``chains`` the
+    greedy chain of each tie policy (``greedy_adaptive``).
 
     ``blocks`` declares elements that f cannot tell apart (see ``Blocks``); it
     must come from a proof or a certificate, as nothing here checks it.  A
@@ -237,6 +282,7 @@ class SetFunctionOracle:
         self._scaled: tuple[tuple[int, ...], int] | None = None
         self._decrease = _UNDECIDED  # then (X, e) or None, see first_decrease
         self.scans: dict = {}  # (gamma, scope[, tie]) -> [records, suspended scan or None]
+        self.chains: dict = {}  # tie -> (chain, picks, gains, values, tie_log) so far
 
     @property
     def n(self) -> int:
@@ -262,40 +308,59 @@ class SetFunctionOracle:
     __call__ = value
 
     def table(self) -> list[Fraction]:
-        """All 2**n values, indexed by mask.  A least mask is read through the
-        memo; any other mask copies the value of its least mask, a smaller
-        mask and so already in the table."""
-        least = self.blocks.least
-        values: list[Fraction] = []
-        for mask in range(1 << self.n):
-            rep = least(mask)
-            values.append(self.value(mask) if rep == mask else values[rep])
-        return values
+        """All 2**n values, indexed by mask.  The least masks are read through
+        the memo in ascending order; every other mask copies the value of its
+        least mask."""
+        reps = self.blocks.representatives()
+        return self._spread(reps, [self.value(mask) for mask in reps])
 
     def scaled_table(self) -> tuple[tuple[int, ...], int]:
         """(values, scale): f(X) * scale at index X, with scale the lcm of the
-        denominators of all 2**n values; built once, then shared."""
+        denominators of all 2**n values; built once from ``table()``, scaled
+        on the least masks, spread and shared."""
         if self._scaled is None:
-            values = self.table()
-            scale = math.lcm(*(v.denominator for v in values))
-            self._scaled = tuple(v.numerator * (scale // v.denominator) for v in values), scale
+            values, reps = self.table(), self.blocks.representatives()
+            scale = math.lcm(*(values[mask].denominator for mask in reps))
+            scaled = [values[mask].numerator * (scale // values[mask].denominator) for mask in reps]
+            self._scaled = tuple(self._spread(reps, scaled)), scale
         return self._scaled
+
+    def _spread(self, reps, values: list) -> list:
+        """The values at the ascending least masks ``reps``, copied to every
+        mask of their orbits (``Blocks.least_masks``)."""
+        if not self.blocks:
+            return values
+        at = [None] * (1 << self.n)
+        for mask, value in zip(reps, values):
+            at[mask] = value
+        return [at[least] for least in self.blocks.least_masks()]
 
     def first_decrease(self) -> tuple[int, int] | None:
         """(X, e) with f(X + e) < f(X), for the least such e and then the least
         X, or None when f is monotone; decided once, on ``scaled_table()``."""
         if self._decrease is _UNDECIDED:
-            self._decrease = _first_decrease(self.scaled_table()[0], self.n)
+            reps = self.blocks.representatives()
+            self._decrease = _first_decrease(self.scaled_table()[0], self.n, reps)
         return self._decrease
 
     def __repr__(self):
         return f"SetFunctionOracle({self.name}, n={self.n})"
 
 
-def _first_decrease(table, n: int) -> tuple[int, int] | None:
+def _first_decrease(table, n: int, reps) -> tuple[int, int] | None:
+    """Monotonicity is proved on the least masks ``reps`` alone: a
+    permutation inside the blocks maps (X, e) to (least(X), its image of e)
+    with the same two values.  Only a refusal scans every mask, to name the
+    least e and then the least X."""
+    found = _lowering(table, n, reps)
+    return found and _lowering(table, n, range(len(table)))
+
+
+def _lowering(table, n: int, x_sets) -> tuple[int, int] | None:
+    """The least e, then the first X of ``x_sets`` without e, with f(X + e) < f(X)."""
     for e in range(n):
         bit = 1 << e
-        lower = (x for x in range(len(table)) if not x & bit and table[x | bit] < table[x])
+        lower = (x for x in x_sets if not x & bit and table[x | bit] < table[x])
         x_set = next(lower, None)
         if x_set is not None:
             return x_set, e
@@ -368,38 +433,47 @@ def greedy_adaptive(f: SetFunctionOracle, k: int, tie: TiePolicy = "low") -> Gre
     At every step the pick maximizes f(S + {x}) over x not in S; ties are
     resolved by the policy and all tied candidates are logged.  The k*n steps
     pass ``require_budget`` before the first evaluation.
+
+    The first k picks do not depend on k, so the oracle keeps one chain per
+    tie policy (``f.chains``): a call returns the first k steps of the kept
+    chain and runs only the picks past its end.  Every call checks k, the
+    budget and the tie order first.
     """
     n = f.n
     if not 0 <= k <= n:
         raise InvalidCardinality(f"k={k} outside 0..{n}")
     require_budget(k * n, f"greedy of k={k} picks over n={n}")
     pref = tie_preference(tie, n)
-    current = 0
-    chain = [0]
-    picks: list[int] = []
-    gains: list[Fraction] = []
-    values = [f.value(0)]
-    tie_log: list[tuple[int, ...]] = []
-    for _ in range(k):
-        best_val = None
-        tied: list[int] = []
-        for x in range(n):
-            if current >> x & 1:
-                continue
-            v = f.value(current | (1 << x))
-            if best_val is None or v > best_val:
-                best_val = v
-                tied = [x]
-            elif v == best_val:
-                tied.append(x)
-        pick = min(tied, key=lambda x: pref[x])
-        gains.append(best_val - values[-1])
-        current |= 1 << pick
-        chain.append(current)
-        picks.append(pick)
-        values.append(best_val)
-        tie_log.append(tuple(tied))
-    return GreedyTrace(tuple(chain), tuple(picks), tuple(gains), tuple(values), tuple(tie_log))
+    key = tie if isinstance(tie, str) else tuple(tie)
+    kept = f.chains.get(key)
+    if kept is None:
+        kept = f.chains[key] = ([0], [], [], [f.value(0)], [])
+    chain, picks, gains, values, tie_log = kept
+    try:
+        while len(picks) < k:
+            current = chain[-1]
+            best_val = None
+            tied: list[int] = []
+            for x in range(n):
+                if current >> x & 1:
+                    continue
+                v = f.value(current | (1 << x))
+                if best_val is None or v > best_val:
+                    best_val = v
+                    tied = [x]
+                elif v == best_val:
+                    tied.append(x)
+            pick = min(tied, key=lambda x: pref[x])
+            gains.append(best_val - values[-1])
+            chain.append(current | 1 << pick)
+            picks.append(pick)
+            values.append(best_val)
+            tie_log.append(tuple(tied))
+    except BaseException:  # an interrupted step may be half kept: the next call starts over
+        del f.chains[key]
+        raise
+    return GreedyTrace(tuple(chain[: k + 1]), tuple(picks[:k]), tuple(gains[:k]),
+                       tuple(values[: k + 1]), tuple(tie_log[:k]))
 
 
 def saturation_point(trace: GreedyTrace) -> int:

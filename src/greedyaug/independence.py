@@ -226,13 +226,23 @@ def rank_quotient(sys: IndependenceSystem) -> RankQuotientResult:
     * conversely, if I <= X and X \\ I avoids ext(I), then I is an
       independent subset of X that no element of X extends: a basis of X.
 
-    So each independent I takes n probes for ext(I), then one step for each
-    of the 2**|D(I)| sets X it is a basis of.  I and D(I) are disjoint, so
-    there are at most 3**n (basis, X) pairs in all.
+    So each independent I takes its probes for ext(I), then one step for
+    each of the sets X it is a basis of.  I and D(I) are disjoint, so there
+    are at most 3**n (basis, X) pairs in all.
 
-    Ties: among the smallest (and among the largest) bases of X of equal
-    size, the larger mask is kept, and the witness is the first X in mask
-    order with the least quotient.  ``checked_sets`` is 2**n.
+    One pair per orbit of the certified blocks: the quotient of X is its
+    orbit's, and every basis of a least mask X is moved, by a permutation
+    that fixes X, onto a least mask that is a basis of X of the same size.
+    So both sizes of each least X are read from the least bases I, and only
+    least X = I + extra are visited.  The members of a block outside a least
+    I all extend it or none does, so one probe decides each block, and the
+    extras are the representative subsets of D(I) (``Blocks.choices``).
+    Without blocks every mask is least and every subset of D(I) an extra.
+
+    The witness is the first X in mask order with the least quotient, the
+    least mask of its orbit.  Ties: among its smallest (and among its
+    largest) bases of equal size, the larger mask is reported, read from the
+    submasks of that one X.  ``checked_sets`` is 2**n.
 
     The budget counts 3**n pairs, n*2**n probes and the n*2**n lookups of
     ``validate``, before the first predicate call.
@@ -240,33 +250,44 @@ def rank_quotient(sys: IndependenceSystem) -> RankQuotientResult:
     n = sys.n
     require_budget(3**n + (n << n + 1), f"rank quotient over n={n}")
     sys.validate()
+    blocks = sys.blocks
     full = (1 << n) - 1
     small = [n + 1] * (1 << n)  # size of the smallest basis of X found so far
     large = [-1] * (1 << n)  # every X has a basis: the empty set is independent
-    small_basis = [0] * (1 << n)
-    large_basis = [0] * (1 << n)
-    for basis in range(1 << n):  # increasing, so on equal size the larger mask comes last
+    reps = blocks.representatives()
+    for basis in reps:
         if not sys.independent(basis):
             continue
         c = basis.bit_count()
-        blocked = probe = full ^ basis  # D(I): the elements outside I that I + e rejects
-        while probe:
-            low = probe & -probe
-            if sys.independent(basis | low):
-                blocked ^= low
-            probe ^= low
-        for extra in iter_submasks(blocked):
-            x_set = basis | extra
-            if c <= small[x_set]:
-                small[x_set], small_basis[x_set] = c, basis
-            if c >= large[x_set]:
-                large[x_set], large_basis[x_set] = c, basis
+        blocked = 0  # D(I): the elements outside I that I + e rejects
+        for choice in blocks.choices(full ^ basis):
+            if not sys.independent(basis | choice[0]):
+                blocked |= choice[-1]
+        x_sets = [basis]
+        for choice in blocks.choices(blocked):
+            x_sets += [x_set | extra for extra in choice for x_set in x_sets]
+        for x_set in x_sets:
+            if c < small[x_set]:
+                small[x_set] = c
+            if c > large[x_set]:
+                large[x_set] = c
     num, den, witness = 1, 1, 0
-    for x_set in range(1 << n):  # an X with only the empty basis reads 0 < 0: 0/0 is 1
+    for x_set in reps:  # an X with only the empty basis reads 0 < 0: 0/0 is 1
         if small[x_set] * den < num * large[x_set]:
             num, den, witness = small[x_set], large[x_set], x_set
     return RankQuotientResult(
-        Fraction(num, den), witness, small_basis[witness], large_basis[witness], 1 << n
+        Fraction(num, den), witness, _largest_basis(sys, witness, small[witness]),
+        _largest_basis(sys, witness, large[witness]), 1 << n,
+    )
+
+
+def _largest_basis(sys: IndependenceSystem, x_set: int, size: int) -> int:
+    """The largest mask among the bases of X with ``size`` elements, which
+    the sweep has found."""
+    return next(
+        basis for basis in iter_submasks(x_set)  # in decreasing order
+        if basis.bit_count() == size and sys.independent(basis)
+        and not any(sys.independent(basis | 1 << e) for e in indices_of(x_set ^ basis))
     )
 
 

@@ -212,9 +212,9 @@ class TestMonotonicityPrecondition:
             builds.append(f.name)
             return table(f)
 
-        def counted_check(values, n):
+        def counted_check(values, n, reps):
             checks.append(n)
-            return first_decrease(values, n)
+            return first_decrease(values, n, reps)
 
         monkeypatch.setattr(ga.SetFunctionOracle, "table", counted_table)
         monkeypatch.setattr(ga.core, "_first_decrease", counted_check)

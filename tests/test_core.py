@@ -47,6 +47,55 @@ def test_explicit_priority_tie_policy():
         ga.greedy_adaptive(f, 1, tie=[0, 0, 1])
 
 
+def test_greedy_extends_the_kept_chain():
+    """One chain per oracle and tie policy: a longer run reads f only for the
+    picks past the kept chain, a shorter one reads nothing."""
+    weights = [3, 1, 2, 5, 4]
+    f, calls = ga.make_modular(weights), []
+    value = f.value
+    f.value = lambda mask: calls.append(mask) or value(mask)
+    ga.greedy_adaptive(f, 2)
+    assert len(calls) == 1 + 5 + 4
+    assert ga.greedy_adaptive(f, 1) == ga.greedy_adaptive(ga.make_modular(weights), 1)
+    assert len(calls) == 10
+    assert ga.greedy_adaptive(f, 4) == ga.greedy_adaptive(ga.make_modular(weights), 4)
+    assert len(calls) == 10 + 3 + 2
+    assert ga.greedy_adaptive(f, 5).prefix(4) == ga.greedy_adaptive(f, 4)
+    assert list(f.chains) == ["low"]
+    assert ga.greedy_adaptive(f, 5, "high") == ga.greedy_adaptive(ga.make_modular(weights), 5, "high")
+    assert ga.greedy_adaptive(f, 2, [3, 4, 0, 1, 2]) == ga.greedy_adaptive(f, 2, (3, 4, 0, 1, 2))
+    assert list(f.chains) == ["low", "high", (3, 4, 0, 1, 2)]
+
+
+def test_greedy_checks_every_call_before_the_kept_chain():
+    f = ga.make_modular([1, 1, 1])
+    ga.greedy_adaptive(f, 3, tie=[2, 0, 1])
+    with pytest.raises(ga.ParameterError):
+        ga.greedy_adaptive(f, 1, tie=[0, 0, 1])
+    with pytest.raises(ga.InvalidCardinality):
+        ga.greedy_adaptive(f, 4, tie=[2, 0, 1])
+    big = ga.make_square_cardinality(4097)
+    assert ga.greedy_adaptive(big, 1).picks == (0,)
+    with pytest.raises(ga.GroundSetTooLarge, match="greedy of k=4097 picks over n=4097"):
+        ga.greedy_adaptive(big, 4097)
+
+
+def test_greedy_interrupted_mid_chain_starts_over():
+    table = {0: 0, 1: 3, 2: 1, 4: 2}
+
+    def evaluate(mask):
+        if mask not in table:
+            raise KeyboardInterrupt
+        return F(table[mask])
+
+    f = ga.SetFunctionOracle(ga.GroundSet(3), evaluate)
+    with pytest.raises(KeyboardInterrupt):
+        ga.greedy_adaptive(f, 2)
+    assert f.chains == {}
+    table.update({3: 4, 5: 5, 6: 3, 7: 6})
+    assert ga.greedy_adaptive(f, 3).picks == (0, 2, 1)
+
+
 def test_nonadaptive_stops_at_saturation():
     f = ga.SetFunctionOracle(ga.GroundSet(3), lambda m: F(min(m.bit_count(), 1)))
     trace = ga.greedy_nonadaptive(f, 3)

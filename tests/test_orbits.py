@@ -229,3 +229,133 @@ class TestBadDeclarations:
             ga.SetFunctionOracle(ga.GroundSet(4), lambda m: F(0), blocks=blocks)
         with pytest.raises(ga.ParameterError, match=message):
             ga.IndependenceSystem(ga.GroundSet(4), lambda m: True, [1] * 4, blocks=blocks)
+
+
+@pytest.mark.parametrize("q, alpha, m, n", [
+    (HALF, 1, 1, 2), (F(1, 3), 1, 1, 3), (HALF, 1, 2, 3), (HALF, 1, 3, 5), (F(2, 3), 1, 2, 3),
+    (F(1, 3), F(3, 2), 1, 3), (HALF, 2, 1, 2), (F(1, 4), 1, 1, 4),
+])
+def test_blocked_rank_quotient_on_rank_separator_grid(q, alpha, m, n):
+    system, _ = ga.make_rank_separator(q, alpha, m, n)
+    assert system.blocks
+    assert ga.rank_quotient(system) == ga.rank_quotient(plain_system(system))
+
+
+@pytest.mark.parametrize("weights", [
+    [1] * 7, [1, 1, 1, 2, 2, 2, 3], [HALF, 2, HALF, 2, HALF, 2], [1, 2, 3, 1, 2, 3, 1, 2],
+])
+def test_blocked_rank_quotient_on_uniform_matroid_grid(weights):
+    n = len(weights)
+    for rank in range(n + 1):
+        system = ga.uniform_matroid(n, rank, weights)
+        assert system.blocks
+        assert ga.rank_quotient(system) == ga.rank_quotient(plain_system(system))
+
+
+def test_non_monotone_block_symmetric_oracle_refused_as_its_plain_twin():
+    """f reads elements 1..3 only through how many it holds, and adding a
+    second one lowers it.  The least refused pair is (X = {2}, e = 1), whose X
+    is not the least mask of its orbit: the refusal still names it."""
+    def value(mask):
+        return F((0, 2, 1, 3)[(mask & 0b1110).bit_count()] + (mask & 1) + (mask >> 4 & 1))
+
+    reduced = ga.SetFunctionOracle(ga.GroundSet(5), value, name="dip", blocks=[(1, 2, 3)])
+    plain = ga.SetFunctionOracle(ga.GroundSet(5), value, name="dip")
+    message = r"dip is not monotone: adding element 1 to X=\[2\] lowers its value"
+    for audit in (ga.weak_submodularity_ratio, lambda f: ga.min_alpha_for(f, 1, "strong"),
+                  lambda f: ga.check_alpha_augmentable(f, 1, "weak"),
+                  lambda f: ga.check_gamma_alpha_augmentable(f, HALF, 1, "strong")):
+        for f in (reduced, plain):
+            with pytest.raises(ga.ParameterError, match=message):
+                audit(f)
+    assert reduced.first_decrease() == plain.first_decrease() == (0b100, 1)
+
+
+@st.composite
+def symmetric_tables(draw):
+    """(n, blocks, values): a random partition of 0..n-1 into blocks and free
+    elements, and a monotone table that reads a mask only through its free
+    part and how many members of each block it holds.
+
+    Each orbit takes its value at its least mask, the first of its masks in
+    ascending order: the largest value one element below it plus a drawn
+    increment.  The masks one element below any mask of the orbit are moved
+    onto those below the least mask, so the table is monotone."""
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    parts = [order[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    blocks = sorted(tuple(sorted(part)) for part in parts if len(part) > 1)
+    increments = draw(st.lists(st.sampled_from([F(0), F(1), F(2), HALF, F(5, 3)]),
+                               min_size=1 << n, max_size=1 << n))
+    least = ga.Blocks(blocks, n).least
+    values = []
+    for mask in range(1 << n):
+        rep = least(mask)
+        if rep < mask:
+            values.append(values[rep])
+            continue
+        below = [values[mask ^ 1 << e] for e in range(n) if mask >> e & 1]
+        values.append(max(below, default=F(0)) + increments[mask])
+    return n, blocks, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_tables(), st.sampled_from([1, HALF, F(2, 3)]))
+def test_audits_on_symmetric_tables_match_unreduced(table, gamma):
+    n, blocks, values = table
+    alphas = [gamma, 1, F(3, 2), 2]
+    for scope, tie in [("weak", "low"), ("weak", "high"), ("strong", "low"), ("strong", "high")]:
+        reduced = ga.SetFunctionOracle(ga.GroundSet(n), values.__getitem__, blocks=blocks)
+        plain = ga.SetFunctionOracle(ga.GroundSet(n), values.__getitem__)
+        assert (audits(reduced, gamma, alphas, scope, tie)
+                == audits(plain, gamma, alphas, scope, tie))
+
+
+@st.composite
+def blocks_and_masks(draw):
+    n = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    parts = [order[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    blocks = [tuple(sorted(part)) for part in parts if len(part) > 1]
+    return ga.Blocks(sorted(blocks), n), draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks_and_masks())
+def test_least_masks_are_each_blocks_lowest_members(drawn):
+    """``least`` keeps, in each block, as many members as the mask holds, at
+    the block's lowest indices; ``least_masks`` and ``representatives`` list
+    the same least masks."""
+    blocks, masks = drawn
+    for mask in masks:
+        expected = mask
+        for block in blocks:
+            count = sum(mask >> i & 1 for i in block)
+            expected = expected & ~ga.mask_of(block) | ga.mask_of(block[:count])
+        assert blocks.least(mask) == expected
+    least = [blocks.least(mask) for mask in range(1 << blocks.n)]
+    assert list(blocks.least_masks()) == least
+    assert list(blocks.representatives()) == sorted(set(least))
+
+
+def test_orbit_scans_visit_one_pair_per_orbit():
+    """The pairs the audits visit on the paper's blocked instances, counted by
+    replaying the kernels' enumeration: the free subsets of X's complement
+    (2**free) times its block parts, one more for the part holding none."""
+    def pairs(f, x_sets):
+        full, total = f.ground.full_mask(), 0
+        for x_set, _ in x_sets:
+            comp = full ^ x_set
+            table = f.scaled_table()[0]
+            parts = ga.audit._block_parts(f.blocks, x_set, comp, table, table[x_set])
+            total += (1 << (comp & f.blocks.free).bit_count()) * (len(parts) + 1) - 1
+        return total
+
+    critical = ga.make_critical_function(HALF, 1, 6)
+    _, separator = ga.make_rank_separator(HALF, 1, 3, 5)
+    assert pairs(critical, ga.audit._audit_table(critical, "weak", "low")[0]) == 1532
+    assert pairs(separator, ga.audit._audit_table(separator, "weak", "high")[0]) == 158
+    strong = ga.make_critical_function(1, 1, 4)
+    assert pairs(strong, ga.audit._audit_table(strong, "strong", "low")[0]) == 2302
