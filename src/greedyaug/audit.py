@@ -175,12 +175,20 @@ def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
 def _least_sets(blocks):
     """The least masks X in ascending order, each with the pairs (X', Y), Y
     not inside X', that a scan over every mask checks for the X' < X: a mask
-    skipped for its orbit still counts its 2**n - 2**|X'| pairs."""
-    pairs, checked = 1 << blocks.n, 0
-    for x_set, least in enumerate(blocks.least_masks()):
-        if least == x_set:
-            yield x_set, checked
-        checked += pairs - (1 << least.bit_count())
+    skipped for its orbit still counts its 2**n - 2**|X'| pairs.
+
+    The count runs on over consecutive least masks; after a gap it is
+    X * 2**n minus 2**|X'| summed over the X' < X.  Those X' that first
+    differ from X, from the top, at its element i keep X's h elements above
+    i and any of the 2**i subsets below it, and add up to 3**i * 2**h."""
+    n, pairs, checked, after = blocks.n, 1 << blocks.n, 0, 0  # checked: pairs below after
+    for x_set in blocks.representatives():
+        if x_set != after:
+            checked = x_set * pairs - sum(3**i << (x_set >> i + 1).bit_count()
+                                          for i in range(n) if x_set >> i & 1)
+        yield x_set, checked
+        checked += pairs - (1 << x_set.bit_count())
+        after = x_set + 1
 
 
 def _block_parts(blocks, x_set, comp, table, fx):

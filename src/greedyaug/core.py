@@ -27,11 +27,12 @@ in each block, the same count of members at the block's lowest indices.
 That least mask is the orbit's smallest, and its sorted index tuple is the
 orbit's lexicographically smallest too: it takes each member from no higher
 an index than any other mask of the orbit.  The oracle hands its evaluator
-least masks only, and both optimum sweeps read the least masks, the orbit
-representatives, alone: every value is its representative's, and the
-representative wins every tie its orbit could, so the profile is the one of
-the sweep over all 2**n masks.  Blocks come from a proof about the family
-or from a check against its data, never from the caller's say-so.
+least masks only, memoizes one value per orbit, and keeps f at the least
+masks, the orbit representatives, as ints (``scaled_reps``).  Both optimum
+sweeps read the representatives alone: every value is its representative's,
+and the representative wins every tie its orbit could, so the profile is the
+one of the sweep over all 2**n masks.  Blocks come from a proof about the
+family or from a check against its data, never from the caller's say-so.
 The monotonicity check (``first_decrease``) reads the least masks X with
 every element e, since (X, e) and its image under a permutation inside the
 blocks compare the same two values, and the audits visit one pair per orbit
@@ -134,7 +135,8 @@ class Blocks(tuple):
     tuples of at least two elements each, refused with ``ParameterError``
     otherwise.  ``least`` maps a mask to the least mask of its orbit under
     permutations inside each block, ``representatives`` lists those least
-    masks in ascending order, and ``free`` is the mask of the elements in no
+    masks in ascending order (built once and kept), ``spread`` copies values
+    at them to every mask, and ``free`` is the mask of the elements in no
     block.
 
     Each block keeps its mask and its members followed by n, so the lowest c
@@ -159,30 +161,13 @@ class Blocks(tuple):
         self.n = n
         self.free = (1 << n) - 1 & ~used
         self._ends = tuple(ends)  # per block: its mask, then its members and n
+        self._reps = None if self else range(1 << n)  # representatives(), once built
         return self
 
     def least(self, mask: int) -> int:
         for block, ends in self._ends:
             mask = mask & ~block | block & (1 << ends[(mask & block).bit_count()]) - 1
         return mask
-
-    def least_masks(self):
-        """``least(mask)`` at index mask, for all 2**n masks: ``range`` when
-        there is no block.  Built one element at a time: a mask below 2**i
-        with element i added keeps its least mask and, if i is in a block,
-        gains that block's next member."""
-        if not self:
-            return range(1 << self.n)
-        out = [0]
-        block_of = {i: block for block in self._ends for i in block[1][:-1]}
-        for i in range(self.n):
-            block = block_of.get(i)
-            if block is None:
-                out += [least | 1 << i for least in out]
-            else:
-                mask, members = block
-                out += [least | 1 << members[(least & mask).bit_count()] for least in out]
-        return out
 
     def choices(self, mask: int) -> list[tuple[int, ...]]:
         """What a representative subset of ``mask`` may add, one pick per
@@ -209,14 +194,33 @@ class Blocks(tuple):
         return out
 
     def representatives(self):
-        """The least masks in ascending order: every mask when there is no block."""
+        """The least masks in ascending order, built on first use and kept:
+        every mask when there is no block."""
+        if self._reps is None:
+            masks = [0]
+            for choice in self.choices((1 << self.n) - 1):
+                masks += [mask | pick for pick in choice for mask in masks]
+            self._reps = sorted(masks)
+        return self._reps
+
+    def spread(self, values) -> list:
+        """``values`` at the ``representatives()``, copied to every mask of
+        their orbits: a list indexed by mask (``values`` itself with no
+        block).  The least masks of all 2**n masks are built one element at a
+        time: a mask below 2**i with element i added keeps its least mask
+        and, if i is in a block, gains that block's next member."""
         if not self:
-            return range(1 << self.n)
-        masks = [0]
-        for choice in self.choices((1 << self.n) - 1):
-            masks += [mask | pick for pick in choice for mask in masks]
-        masks.sort()
-        return masks
+            return values
+        at, least = dict(zip(self.representatives(), values)), [0]
+        block_of = {i: block for block in self._ends for i in block[1][:-1]}
+        for i in range(self.n):
+            block = block_of.get(i)
+            if block is None:
+                least += [mask | 1 << i for mask in least]
+            else:
+                bits, members = block
+                least += [mask | 1 << members[(mask & bits).bit_count()] for mask in least]
+        return [at[mask] for mask in least]
 
 
 def iter_submasks(mask: int):
@@ -255,9 +259,10 @@ class SetFunctionOracle:
     Results are memoized, which doubles as the purity contract: two queries
     for the same subset return the identical Fraction.
 
-    The audits read ``scaled_table()``: the 2**n values as ints over one
-    scale, the lcm of their denominators, built from ``table()`` on first use
-    and kept, so the audits on one oracle share one build.
+    ``scaled_reps()`` holds f at the orbit representatives as ints over one
+    scale, the lcm of their denominators, built on first use and kept for
+    the optimum sweep; the audits read ``scaled_table()``, those ints spread
+    once to all 2**n masks and kept.
     ``first_decrease()`` decides monotonicity once on that table and keeps
     the verdict; this type refuses nothing itself, the augmentability audits
     refuse non-monotone input on every call.  ``scans`` holds the audits'
@@ -265,9 +270,10 @@ class SetFunctionOracle:
     greedy chain of each tie policy (``greedy_adaptive``).
 
     ``blocks`` declares elements that f cannot tell apart (see ``Blocks``); it
-    must come from a proof or a certificate, as nothing here checks it.  A
-    mask that is not the least of its orbit is read through its least mask,
-    so ``fn`` only sees least masks.
+    must come from a proof or a certificate, as nothing here checks it.
+    Every mask is read through the least mask of its orbit, the only key of
+    the memo, so ``fn`` only sees least masks and the memo holds one entry
+    per orbit; a mask outside the ground set is refused when it misses.
     """
 
     def __init__(
@@ -279,7 +285,7 @@ class SetFunctionOracle:
         self._fn = fn
         self._full = ground.full_mask()
         self._cache: dict[int, Fraction] = {}
-        self._scaled: tuple[tuple[int, ...], int] | None = None
+        self._reps_scaled = self._scaled = None  # scaled_reps(), scaled_table(), once built
         self._decrease = _UNDECIDED  # then (X, e) or None, see first_decrease
         self.scans: dict = {}  # (gamma, scope[, tie]) -> [records, suspended scan or None]
         self.chains: dict = {}  # tie -> (chain, picks, gains, values, tie_log) so far
@@ -289,51 +295,43 @@ class SetFunctionOracle:
         return self.ground.n
 
     def value(self, mask: int) -> Fraction:
-        cached = self._cache.get(mask)
+        least = self.blocks.least(mask)
+        cached = self._cache.get(least)
         if cached is None:
             if not 0 <= mask <= self._full:
                 raise ValueError(f"mask {mask:#x} outside ground set of {self.n} elements")
-            least = self.blocks.least(mask)
-            cached = self._cache.get(least)
-            if cached is None:
-                cached = self._fn(least)
-                if not isinstance(cached, Fraction):
-                    cached = as_fraction(cached)
-                if cached.numerator < 0:
-                    raise ValueError(f"{self.name}: negative value {cached} on {indices_of(least)}")
-                self._cache[least] = cached
-            self._cache[mask] = cached
+            cached = self._fn(least)
+            if not isinstance(cached, Fraction):
+                cached = as_fraction(cached)
+            if cached.numerator < 0:
+                raise ValueError(f"{self.name}: negative value {cached} on {indices_of(least)}")
+            self._cache[least] = cached
         return cached
 
     __call__ = value
 
     def table(self) -> list[Fraction]:
-        """All 2**n values, indexed by mask.  The least masks are read through
-        the memo in ascending order; every other mask copies the value of its
-        least mask."""
-        reps = self.blocks.representatives()
-        return self._spread(reps, [self.value(mask) for mask in reps])
+        """All 2**n values, indexed by mask, read through the memo."""
+        return [self.value(mask) for mask in range(1 << self.n)]
+
+    def scaled_reps(self) -> tuple[Sequence[int], list[int], int]:
+        """(representatives, values, scale): the least masks in ascending
+        order, f * scale at each as an int, and scale, the lcm of the
+        denominators of their values; built once and kept."""
+        if self._reps_scaled is None:
+            reps = self.blocks.representatives()
+            values = [self.value(mask) for mask in reps]
+            scale = math.lcm(*(v.denominator for v in values))
+            self._reps_scaled = reps, [v.numerator * (scale // v.denominator) for v in values], scale
+        return self._reps_scaled
 
     def scaled_table(self) -> tuple[tuple[int, ...], int]:
-        """(values, scale): f(X) * scale at index X, with scale the lcm of the
-        denominators of all 2**n values; built once from ``table()``, scaled
-        on the least masks, spread and shared."""
+        """(values, scale): f(X) * scale at index X, the ``scaled_reps()``
+        values spread to every mask once and kept."""
         if self._scaled is None:
-            values, reps = self.table(), self.blocks.representatives()
-            scale = math.lcm(*(values[mask].denominator for mask in reps))
-            scaled = [values[mask].numerator * (scale // values[mask].denominator) for mask in reps]
-            self._scaled = tuple(self._spread(reps, scaled)), scale
+            _, values, scale = self.scaled_reps()
+            self._scaled = tuple(self.blocks.spread(values)), scale
         return self._scaled
-
-    def _spread(self, reps, values: list) -> list:
-        """The values at the ascending least masks ``reps``, copied to every
-        mask of their orbits (``Blocks.least_masks``)."""
-        if not self.blocks:
-            return values
-        at = [None] * (1 << self.n)
-        for mask, value in zip(reps, values):
-            at[mask] = value
-        return [at[least] for least in self.blocks.least_masks()]
 
     def first_decrease(self) -> tuple[int, int] | None:
         """(X, e) with f(X + e) < f(X), for the least such e and then the least
@@ -519,12 +517,9 @@ def optimum_profile(f: SetFunctionOracle) -> list[OptimumRecord]:
     """
     n = f.n
     require_budget(1 << n, f"optimum sweep over n={n}")
-    masks = f.blocks.representatives()
-    values = [f.value(mask) for mask in masks]
-    scale = math.lcm(*(v.denominator for v in values))  # ints over one scale compare as values do
+    masks, values, scale = f.scaled_reps()  # ints over one scale compare as values do
     by_size: list[tuple[int, int] | None] = [None] * (n + 1)
-    for mask, v in zip(masks, values):
-        value = v.numerator * (scale // v.denominator)
+    for mask, value in zip(masks, values):
         c = mask.bit_count()
         entry = by_size[c]
         if entry is None or _better(value, mask, entry[0], entry[1]):

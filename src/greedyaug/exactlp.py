@@ -241,10 +241,7 @@ def _pivot(tableau, dens, z, zden, pr, pc, hits):
     for i, row, factor in hits:
         if i != pr:
             tableau[i], dens[i] = _eliminate(row, dens[i], factor, entries, p)
-    factor = z.get(pc)
-    if factor:
-        return _eliminate(z, zden, factor, entries, p)
-    return z, zden
+    return _eliminate(z, zden, z[pc], entries, p)  # pc entered for its negative reduced cost
 
 
 def _eliminate(row, d, factor, entries, p):

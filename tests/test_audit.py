@@ -206,22 +206,22 @@ class TestMonotonicityPrecondition:
 
     def test_one_table_and_one_monotonicity_check_per_bundle(self, monkeypatch, capsys):
         builds, checks = [], []
-        table, first_decrease = ga.SetFunctionOracle.table, ga.core._first_decrease
+        scaled_reps, first_decrease = ga.SetFunctionOracle.scaled_reps, ga.core._first_decrease
 
-        def counted_table(f):
-            builds.append(f.name)
-            return table(f)
+        def counted_build(f):
+            builds.append(scaled_reps(f))
+            return builds[-1]
 
         def counted_check(values, n, reps):
             checks.append(n)
             return first_decrease(values, n, reps)
 
-        monkeypatch.setattr(ga.SetFunctionOracle, "table", counted_table)
+        monkeypatch.setattr(ga.SetFunctionOracle, "scaled_reps", counted_build)
         monkeypatch.setattr(ga.core, "_first_decrease", counted_check)
         params = '{"gamma": "1/2", "alpha": "1", "k": 6}'
         assert cli.main(["audit", "--family", "critical", "--params", params, "--scope", "weak"]) == 0
         assert '"min_alpha": "1"' in capsys.readouterr().out
-        assert len(builds) == 1 and checks == [12]
+        assert builds and all(build is builds[0] for build in builds) and checks == [12]
 
     def test_parameters_checked_before_monotonicity(self):
         f = _non_monotone()

@@ -365,3 +365,37 @@ def test_optimum_sandwich(data):
     top = f.value(f.ground.full_mask())
     for k in range(1, n + 1):
         assert trace.values[k] <= profile[k].best_value <= top
+
+
+@pytest.mark.parametrize("blocks", [(), [(0, 2)]], ids=["unblocked", "blocked"])
+def test_value_refuses_masks_outside_the_ground_set(blocks):
+    f = ga.SetFunctionOracle(ga.GroundSet(3), lambda m: F(m.bit_count()), blocks=blocks)
+    for _ in range(2):  # a refused mask leaves nothing in the memo to hit
+        for mask in (-1, 8):
+            with pytest.raises(ValueError, match=f"mask {mask:#x} outside ground set of 3 elements"):
+                f.value(mask)
+    assert f.value(7) == 3
+
+
+def test_optima_refuse_k_outside_0_to_n(f112):
+    for k in (-1, f112.n + 1):
+        with pytest.raises(ga.InvalidCardinality, match=f"k={k} outside 0..{f112.n}"):
+            ga.brute_force_optimum(f112, k)
+        with pytest.raises(ga.InvalidCardinality, match=f"k={k} outside 0..{f112.n}"):
+            ga.optimum_value(f112, k, upper_bound=lambda mask: F(1))
+
+
+def test_trace_prefix_refused_past_its_end(f112):
+    trace = ga.greedy_adaptive(f112, 2)
+    assert trace.prefix(2) == trace
+    with pytest.raises(ga.InvalidCardinality, match="trace has only 2 steps"):
+        trace.prefix(3)
+
+
+def test_malformed_ground_set_and_float_refused():
+    with pytest.raises(ga.ParameterError, match="ground set needs n >= 1, got 0"):
+        ga.GroundSet(0)
+    with pytest.raises(ga.ParameterError, match="labels length must equal n"):
+        ga.GroundSet(2, ("a",))
+    with pytest.raises(TypeError, match="refusing float->Fraction coercion"):
+        ga.core.as_fraction(0.5)

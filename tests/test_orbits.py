@@ -6,6 +6,7 @@ Every result must be the one of an oracle that declares nothing and
 evaluates every mask itself.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,58 @@ def test_optimum_sweep_reads_representatives_only():
         ((1 << c) - 1, c * c) for c in range(11)]
 
 
+def test_greedy_memoizes_one_entry_per_orbit():
+    """Greedy on square(50) reads masks of every size; the memo keeps only the
+    least mask of each of the 51 orbits."""
+    f = ga.make_square_cardinality(50)
+    assert ga.greedy_adaptive(f, 50).values[-1] == 2500
+    assert sorted(f._cache) == [(1 << c) - 1 for c in range(51)]
+
+
+def test_orbit_bookkeeping_is_built_once_per_oracle(monkeypatch):
+    """A strong audit bundle and an optimum sweep on one blocked oracle share
+    one list of representatives, one scaled build and one spread over the
+    2**n masks."""
+    expected = ga.optimum_profile(plain_critical(HALF, 1, 5))
+    reps, builds, spreads = [], [], []
+    representatives, scaled_reps = ga.Blocks.representatives, ga.SetFunctionOracle.scaled_reps
+    spread = ga.Blocks.spread
+
+    def counted(calls, fn):
+        def call(self, *args):
+            calls.append(fn(self, *args))
+            return calls[-1]
+        return call
+
+    monkeypatch.setattr(ga.Blocks, "representatives", counted(reps, representatives))
+    monkeypatch.setattr(ga.SetFunctionOracle, "scaled_reps", counted(builds, scaled_reps))
+    monkeypatch.setattr(ga.Blocks, "spread", counted(spreads, spread))
+    f = ga.make_critical_function(HALF, 1, 5)
+    audits(f, HALF, [HALF, 1, 2], "strong", "low")
+    assert ga.optimum_profile(f) == expected
+    assert len(reps) >= 4 and all(r is reps[0] for r in reps)
+    assert len(builds) == 2 and builds[0] is builds[1] and builds[0][0] is reps[0]
+    assert len(spreads) == 1
+
+
+def test_zero_value_x_cuts_block_parts_at_the_first_passing_free_set():
+    """f reads whether X holds both 0 and 1, how many members of the block
+    (2, 3), and 4.  At X = {} with f(X) = 0 the free walk stops at the first
+    passing Y = {0, 1}, and the block parts join only the free sets below it."""
+    def value(mask):
+        return F((mask & 0b11 == 0b11) + (mask & 0b1100).bit_count() + (mask >> 4 & 1))
+
+    reduced = ga.SetFunctionOracle(ga.GroundSet(5), value, blocks=[(2, 3)])
+    plain = ga.SetFunctionOracle(ga.GroundSet(5), value)
+    for scope, tie in [("strong", "low"), ("weak", "low"), ("weak", "high")]:
+        assert (audits(reduced, HALF, [HALF, 1, 2], scope, tie)
+                == audits(plain, HALF, [HALF, 1, 2], scope, tie))
+    report = ga.check_alpha_augmentable(reduced, 1)
+    assert report.witness.x_set == 0 and ga.indices_of(report.witness.y_set) == (0, 1)
+    assert report.checked_pairs == 3
+    assert ga.min_alpha_for(reduced, 1, "strong") == math.inf
+
+
 class TestBadDeclarations:
     def test_asymmetric_predicate_refused_naming_block_and_mask(self):
         # independent iff inside {0, 1}: swapping 1 and 2 changes {1} into {2}
@@ -326,8 +379,8 @@ def blocks_and_masks(draw):
 @given(blocks_and_masks())
 def test_least_masks_are_each_blocks_lowest_members(drawn):
     """``least`` keeps, in each block, as many members as the mask holds, at
-    the block's lowest indices; ``least_masks`` and ``representatives`` list
-    the same least masks."""
+    the block's lowest indices; ``representatives`` lists the same least
+    masks, and spreading each to its orbit puts least(mask) at every mask."""
     blocks, masks = drawn
     for mask in masks:
         expected = mask
@@ -336,8 +389,9 @@ def test_least_masks_are_each_blocks_lowest_members(drawn):
             expected = expected & ~ga.mask_of(block) | ga.mask_of(block[:count])
         assert blocks.least(mask) == expected
     least = [blocks.least(mask) for mask in range(1 << blocks.n)]
-    assert list(blocks.least_masks()) == least
-    assert list(blocks.representatives()) == sorted(set(least))
+    reps = blocks.representatives()
+    assert list(reps) == sorted(set(least))
+    assert list(blocks.spread(list(reps))) == least
 
 
 def test_orbit_scans_visit_one_pair_per_orbit():
