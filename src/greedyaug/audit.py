@@ -44,14 +44,15 @@ orbit, and each earlier pair's orbit has its least pair earlier still: a
 scan over those least pairs alone, in the same order, meets the same bars
 and stops at the same pairs (the method of canonical orbit
 representatives; B. D. McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26, 1998).  So strong scope runs X over the least masks;
-weak scope keeps the greedy chain, where X is given and only its
-stabiliser moves Y.  For each X, Y runs over the free subsets of its
-complement times its block parts (``_block_parts``).  Every member
-of a block outside X has the same gain at X.  ``checked_pairs`` keeps its
-closed form over all pairs: an X skipped for its orbit still counts its
-2**n - 2**|X| pairs.  With no blocks every mask is least, and the scan is
-the plain walk over all pairs.
+J. Algorithms 26, 1998).  The argument needs only that order.  So strong
+scope runs X over the least masks; weak scope keeps the greedy chain, where
+X is given and only its stabiliser moves Y.  For each X, both the scan and
+the weak ratio read Y from one enumeration, ``_orbit_subsets``: the least Y
+of each orbit of X's stabiliser in ascending mask order, with its best gain
+and its sum of gains at X, and each is one loop over that list against a
+running bar.  ``checked_pairs`` keeps its closed form over all pairs: an X
+skipped for its orbit still counts its 2**n - 2**|X| pairs.  With no blocks
+every mask is least, and the scan is the plain walk over all pairs.
 
 Before evaluating f, the preamble passes the step count to ``require_budget``:
 n*2**n for the monotonicity check, plus 3**n disjoint pairs for strong scope
@@ -64,6 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .core import (
     ParameterError,
@@ -191,27 +193,36 @@ def _least_sets(blocks):
         after = x_set + 1
 
 
-def _block_parts(blocks, x_set, comp, table, fx):
-    """The nonempty block parts of the subsets Y of ``comp`` (the complement
-    of X), one per orbit of X's stabiliser: (part, best gain, sum of gains)
-    at X.  A part holds, per block, the lowest c of its members in comp
-    (``Blocks.choices``); the permutations inside the blocks that fix X move
-    those members among themselves, so they share one gain at X."""
-    parts = [(0, 0, 0)]
-    for choice in blocks.choices(comp & ~blocks.free):
-        g = table[x_set | choice[0]] - fx
-        parts += [(part | pick, best if best > g else g, total + c * g)
-                  for c, pick in enumerate(choice, 1) for part, best, total in parts]
-    return parts[1:]
+def _orbit_subsets(blocks, x_set, table) -> list[tuple[int, int, int]]:
+    """The subsets Y of X's complement, one per orbit of X's stabiliser, in
+    ascending mask order with {} first, each as (Y, best gain, sum of gains)
+    at X on the scaled ``table``.
 
-
-def _subsets(bits) -> list[int]:
-    """Every subset of the ascending single-element masks ``bits``, {} first,
-    in ascending order."""
-    sets = [0]
-    for bit in bits:
-        sets += [y_set | bit for y_set in sets]
-    return sets
+    The stabiliser permutes the members of each block outside X among
+    themselves, so the least Y of an orbit keeps its free elements and, per
+    block, the lowest c members outside X.  The list grows one element e of
+    the complement at a time, lowest first: a free e extends every Y so far,
+    and a block member only the Ys that hold its block's previous member
+    outside X, all of them at or after the index where that member's
+    extensions start.  Every new Y holds e and so exceeds every earlier Y,
+    which keeps the list in mask order."""
+    fx, subsets, rest = table[x_set], [(0, 0, 0)], (1 << blocks.n) - 1 ^ x_set
+    last = {}  # block -> (its latest member outside X, where the Ys holding it start)
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        g, prev, start = table[x_set | bit] - fx, 0, 0
+        if not blocks.free & bit:
+            block = blocks.block_of[bit.bit_length() - 1]
+            prev, start = last.get(block, (0, 0))
+            last[block] = bit, len(subsets)
+        if prev:
+            subsets += [(y_set | bit, best if best > g else g, total + g)
+                        for y_set, best, total in islice(subsets, start, None) if y_set & prev]
+        else:
+            subsets += [(y_set | bit, best if best > g else g, total + g)
+                        for y_set, best, total in subsets]
+    return subsets
 
 
 def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
@@ -243,9 +254,11 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
     |Y \\ X| <= |Y|.  Y \\ X is also the smaller mask, so the first pair
     needing more than any bar is disjoint and the largest need is reached on a
     disjoint pair: the verdict, the witness and the least alpha are those of
-    the scan over all pairs.  ``checked`` counts the pairs that scan would
-    examine: 2**n - 2**|X| for each finished X, skipped for its orbit or
-    not, and at a record (X, Y) the Y' <= Y not inside X.
+    the scan over all pairs.  Of the disjoint pairs, ``_scan`` visits the
+    least of each orbit of the blocks (see the module docstring).
+    ``checked`` counts the pairs that scan over all pairs would examine:
+    2**n - 2**|X| for each finished X, skipped for its orbit or not, and at a
+    record (X, Y) the Y' <= Y not inside X.
     """
     if existential not in ("full", "difference"):
         raise ParameterError(f"unknown existential scope {existential!r}")
@@ -266,7 +279,7 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
                 raise
         record = records[i]
         if record[1] is None or record[0] == math.inf:
-            kept[1] = None  # finished: drop the suspended scan and its 2**n lists
+            kept[1] = None  # finished: drop the suspended scan and its 2**n list of sizes
             return record
         if record[0] > cap:
             return record
@@ -275,64 +288,21 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
 
 def _scan(blocks, x_sets, table, scale, gamma):
     """Yield the records of ``_least_alpha`` for the scope sets ``x_sets``,
-    visiting one pair per orbit of the oracle's ``blocks`` (see the module
-    docstring).
+    visiting one pair per orbit of the oracle's ``blocks``: for each X, the
+    Ys of ``_orbit_subsets`` in mask order (see the module docstring).
 
     It runs on the int table of ``_audit_table``: with gamma = p/q and the
     running least alpha a/b, the pair needs more when
     b*(p*T - q*|Y|*G) > a*q*F, for the scaled values T = f(X+Y), F = f(X) and
-    best gain G.  A subset Y of the complement of X is a set of its free
-    elements, walked in increasing order so that best[Y] extends best[Y minus
-    its lowest element], joined to one of X's block parts
-    (``_block_parts``).  The bar only rises, so every record at X passes the
-    bar at X's start, and a free set also passes the bar that the free sets
-    before it raise, as they come first in mask order.  The pairs that pass
-    are then replayed in mask order from X's start.  At f(X) = 0 the first
-    passing pair ends the scan, so the walk stops there and the block parts
-    join only the free sets below it.
+    best gain G.  Y = {} needs only alpha = gamma, so it never passes.
     """
-    n, free_elements = blocks.n, blocks.free
-    full = (1 << n) - 1
-    in_blocks = full & ~free_elements
-    sizes = [y_set.bit_count() for y_set in range(1 << n)]
-    best = [0] * (1 << n)  # best[Y] = best gain at X of an element of Y, scaled
     p, q = gamma.numerator, gamma.denominator
     a, b = p, q  # the least alpha so far, a/b
+    sizes = [y_set.bit_count() for y_set in range(1 << blocks.n)]
     for x_set, checked in x_sets:
-        comp, fx = full ^ x_set, table[x_set]
-        free = comp & free_elements
-        gains = {1 << e: table[x_set | 1 << e] - fx for e in range(n) if free >> e & 1}
+        fx = table[x_set]
         pb, qb, bar = p * b, q * b, a * q * fx
-        walk_pb, walk_qb, walk_bar = pb, qb, bar  # raised by each free set that passes
-        passing, stop = [], free
-        y_set = 0
-        while y_set := (y_set - free) & free:
-            low = y_set & -y_set
-            g, prev = gains[low], best[y_set ^ low]
-            if prev > g:
-                g = prev
-            best[y_set] = g
-            if walk_pb * table[x_set | y_set] - walk_qb * g * sizes[y_set] > walk_bar:
-                passing.append((y_set, g))
-                if not fx:
-                    stop = y_set
-                    break
-                need_a, need_b = p * table[x_set | y_set] - q * g * sizes[y_set], q * fx
-                walk_pb, walk_qb, walk_bar = p * need_b, q * need_b, need_a * q * fx
-        if comp & in_blocks:
-            free_sets = _subsets(gains)
-            for part, part_gain, _ in _block_parts(blocks, x_set, comp, table, fx):
-                for y_free in free_sets:
-                    if y_free > stop:
-                        break
-                    g, y_set = best[y_free], y_free | part
-                    if part_gain > g:
-                        g = part_gain
-                    if pb * table[x_set | y_set] - qb * g * sizes[y_set] > bar:
-                        passing.append((y_set, g))
-        if not passing:
-            continue
-        for y_set, g in sorted(passing):
+        for y_set, g, _ in _orbit_subsets(blocks, x_set, table):
             if pb * table[x_set | y_set] - qb * g * sizes[y_set] <= bar:
                 continue
             top = 1 << y_set.bit_length() - 1  # Y' <= Y inside X: the subsets of X below top
@@ -343,7 +313,7 @@ def _scan(blocks, x_sets, table, scale, gamma):
             a, b = p * table[x_set | y_set] - q * g * sizes[y_set], q * fx
             pb, qb, bar = p * b, q * b, a * q * fx
             yield Fraction(a, b), x_set, y_set, Fraction(g, scale), at
-    yield Fraction(a, b), None, None, None, checked + (1 << n) - (1 << sizes[x_set])
+    yield Fraction(a, b), None, None, None, checked + (1 << blocks.n) - (1 << sizes[x_set])
 
 
 def _augmentability_audit(f, gamma, alpha, scope, tie, existential):
@@ -397,43 +367,19 @@ def weak_submodularity_ratio(f: SetFunctionOracle, tie: TiePolicy = "low") -> Ra
     reaches the minimum (X = Y = {} when it is 1).  Pairs with zero joint gain
     count as 1 when the singleton sum is zero too and are excluded (treated as
     +inf) otherwise.  On the int table of ``_audit_table`` (its scale cancels)
-    sum/joint < num/den is decided as sum*den < num*joint.  Y runs over one
-    subset per orbit of X's stabiliser, as in ``_scan``: sums[Y] of its free
-    part extends sums[Y minus its lowest element], the bar only falls, and
-    the pairs that pass it are replayed in mask order (see the module
-    docstring).
+    sum/joint < num/den is decided as sum*den < num*joint.  Y runs over
+    ``_orbit_subsets``, one subset per orbit of X's stabiliser in mask order,
+    against a running bar that only falls (see the module docstring).
     """
     x_sets, table, _ = _audit_table(f, "weak", tie)
-    n, blocks = f.n, f.blocks
-    full = (1 << n) - 1
-    sums = [0] * (1 << n)  # sums[Y] = sum of the singleton gains at X over Y, scaled
-    num, den, x_best, y_best = 1, 1, 0, 0
-    checked = 0
+    num, den, x_best, y_best, checked = 1, 1, 0, 0, 0
     for x_set, _ in x_sets:
-        comp, fx = full ^ x_set, table[x_set]
-        free = comp & blocks.free
-        gains = {1 << e: table[x_set | 1 << e] - fx for e in range(n) if free >> e & 1}
-        passing, walk_num, walk_den = [], num, den  # lowered by each free set that passes
-        y_set = 0
-        while y_set := (y_set - free) & free:
-            low = y_set & -y_set
-            total = sums[y_set] = sums[y_set ^ low] + gains[low]
-            joint = table[x_set | y_set] - fx
-            if total * walk_den < walk_num * joint:
-                passing.append((y_set, total))
-                walk_num, walk_den = total, joint
-        parts = _block_parts(blocks, x_set, comp, table, fx)
-        free_sets = _subsets(gains) if parts else ()
-        for part, _, part_sum in parts:
-            for y_free in free_sets:
-                total, y_set = sums[y_free] + part_sum, y_free | part
-                if total * den < num * (table[x_set | y_set] - fx):
-                    passing.append((y_set, total))
-        for y_set, total in sorted(passing):
+        fx = table[x_set]
+        for y_set, _, total in _orbit_subsets(f.blocks, x_set, table):
             joint = table[x_set | y_set] - fx
             if total * den < num * joint:  # never at joint 0: 0/0 is 1, positive/0 +inf
                 num, den, x_best, y_best = total, joint, x_set, y_set
-        checked += (1 << comp.bit_count()) - 1
+        checked += (1 << f.n - x_set.bit_count()) - 1
     return RatioResult(Fraction(num, den), x_best, y_best, checked, tie)
 
 

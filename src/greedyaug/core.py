@@ -136,16 +136,20 @@ class Blocks(tuple):
     otherwise.  ``least`` maps a mask to the least mask of its orbit under
     permutations inside each block, ``representatives`` lists those least
     masks in ascending order (built once and kept), ``spread`` copies values
-    at them to every mask, and ``free`` is the mask of the elements in no
-    block.
+    at them to every mask, ``free`` is the mask of the elements in no block,
+    and ``block_of`` maps each member of a block to that block's mask.
 
     Each block keeps its mask and its members followed by n, so the lowest c
     members are ``block & (1 << ends[c]) - 1``: memory linear in the block.
+    A ``Blocks`` over the same n is returned as it is, so every oracle and
+    system built from it shares its representatives.
     """
 
     def __new__(cls, blocks, n: int):
+        if isinstance(blocks, Blocks) and blocks.n == n:
+            return blocks
         self = super().__new__(cls, (tuple(block) for block in blocks))
-        used, ends = 0, []
+        used, ends, block_of = 0, [], {}
         for block in self:
             if len(block) < 2:
                 raise ParameterError(f"block {block} needs at least two elements")
@@ -158,8 +162,10 @@ class Blocks(tuple):
                 raise ParameterError(f"block {block} overlaps an earlier block")
             used |= mask
             ends.append((mask, block + (n,)))
+            block_of.update(dict.fromkeys(block, mask))
         self.n = n
         self.free = (1 << n) - 1 & ~used
+        self.block_of = block_of
         self._ends = tuple(ends)  # per block: its mask, then its members and n
         self._reps = None if self else range(1 << n)  # representatives(), once built
         return self

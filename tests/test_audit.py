@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import greedyaug as ga
 from greedyaug import audit, cli
 from conftest import build_monotone_oracle
+from test_orbits import symmetric_tables
 
 F = Fraction
 HALF = F(1, 2)
@@ -425,11 +426,11 @@ def naive_min_alpha(f, gamma, x_sets, existential):
     return needed
 
 
-def scope_sets(f, scope):
+def scope_sets(f, scope, tie="low"):
     if scope == "strong":
         return range(1 << f.n)
-    trace = ga.greedy_adaptive(f, f.n)
-    return trace.chain[: ga.saturation_cardinality(f) + 1]
+    trace = ga.greedy_adaptive(f, f.n, tie)
+    return trace.chain[: ga.saturation_cardinality(f, tie=tie) + 1]
 
 
 def naive_weak_ratio(f, tie):
@@ -509,6 +510,37 @@ def test_weak_ratio_matches_naive_reference(data, tie):
     assert (result.value, result.x_set, result.y_set, result.checked_pairs) == naive_weak_ratio(
         f, tie
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    symmetric_tables(),
+    st.sampled_from([F(1, 2), F(1)]),
+    st.sampled_from(["weak", "strong"]),
+    st.sampled_from(["low", "high"]),
+)
+def test_blocked_audits_match_naive_reference(table, gamma, scope, tie):
+    """Oracles that declare blocks visit one pair per orbit; the references
+    visit every pair of an oracle that declares none."""
+    n, blocks, values = table
+    f = ga.SetFunctionOracle(ga.GroundSet(n), values.__getitem__, blocks=blocks)
+    plain = ga.SetFunctionOracle(ga.GroundSet(n), values.__getitem__)
+    x_sets = scope_sets(plain, scope, tie)
+    assert ga.min_alpha_for(f, gamma, scope, tie) == naive_min_alpha(plain, gamma, x_sets, "full")
+    for alpha in (gamma, F(1), F(3, 2), F(2)):
+        if alpha < gamma:
+            continue
+        report = ga.check_gamma_alpha_augmentable(f, gamma, alpha, scope, tie)
+        member, x_set, y_set, checked = naive_augmentability(plain, gamma, alpha, x_sets, "full")
+        assert (report.member, report.checked_pairs) == (member, checked)
+        if not member:
+            assert (report.witness.x_set, report.witness.y_set) == (x_set, y_set)
+            recheck_witness(f, report)
+    if scope == "weak":
+        result = ga.weak_submodularity_ratio(f, tie)
+        assert (result.value, result.x_set, result.y_set, result.checked_pairs) == naive_weak_ratio(
+            plain, tie
+        )
 
 
 AUDIT_CALLS = {

@@ -229,10 +229,10 @@ def test_orbit_bookkeeping_is_built_once_per_oracle(monkeypatch):
     assert len(spreads) == 1
 
 
-def test_zero_value_x_cuts_block_parts_at_the_first_passing_free_set():
+def test_zero_value_x_stops_the_scan_at_its_first_passing_pair():
     """f reads whether X holds both 0 and 1, how many members of the block
-    (2, 3), and 4.  At X = {} with f(X) = 0 the free walk stops at the first
-    passing Y = {0, 1}, and the block parts join only the free sets below it."""
+    (2, 3), and 4.  At X = {} with f(X) = 0 the scan stops at the first
+    passing Y = {0, 1}, before the Ys that hold a block member."""
     def value(mask):
         return F((mask & 0b11 == 0b11) + (mask & 0b1100).bit_count() + (mask >> 4 & 1))
 
@@ -395,17 +395,11 @@ def test_least_masks_are_each_blocks_lowest_members(drawn):
 
 
 def test_orbit_scans_visit_one_pair_per_orbit():
-    """The pairs the audits visit on the paper's blocked instances, counted by
-    replaying the kernels' enumeration: the free subsets of X's complement
-    (2**free) times its block parts, one more for the part holding none."""
+    """The pairs the audits visit on the paper's blocked instances: for each
+    X, the nonempty Ys that ``_orbit_subsets`` lists."""
     def pairs(f, x_sets):
-        full, total = f.ground.full_mask(), 0
-        for x_set, _ in x_sets:
-            comp = full ^ x_set
-            table = f.scaled_table()[0]
-            parts = ga.audit._block_parts(f.blocks, x_set, comp, table, table[x_set])
-            total += (1 << (comp & f.blocks.free).bit_count()) * (len(parts) + 1) - 1
-        return total
+        table = f.scaled_table()[0]
+        return sum(len(ga.audit._orbit_subsets(f.blocks, x_set, table)) - 1 for x_set, _ in x_sets)
 
     critical = ga.make_critical_function(HALF, 1, 6)
     _, separator = ga.make_rank_separator(HALF, 1, 3, 5)
@@ -413,3 +407,76 @@ def test_orbit_scans_visit_one_pair_per_orbit():
     assert pairs(separator, ga.audit._audit_table(separator, "weak", "high")[0]) == 158
     strong = ga.make_critical_function(1, 1, 4)
     assert pairs(strong, ga.audit._audit_table(strong, "strong", "low")[0]) == 2302
+
+
+@st.composite
+def blocks_tables_and_sets(draw):
+    """Random blocks, a monotone int table (it need not respect the blocks:
+    the enumeration reads only gains at X) and any X, least mask of its orbit
+    or not."""
+    blocks, _ = draw(blocks_and_masks())
+    n = blocks.n
+    increments = draw(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n))
+    table = []
+    for mask in range(1 << n):
+        below = [table[mask ^ 1 << e] for e in range(n) if mask >> e & 1]
+        table.append(max(below, default=0) + increments[mask])
+    return blocks, table, draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks_tables_and_sets())
+def test_orbit_subsets_are_the_least_set_of_each_stabiliser_orbit(drawn):
+    """The Ys ascend strictly, and they are the least Y of each orbit of X's
+    stabiliser, one each: orbits grouped by swapping two members of a block
+    that both lie outside X, which generate every permutation inside the
+    blocks that fixes X, read on the subsets of X's complement.  Each Y's
+    best gain and sum of gains equal the ones read off the table."""
+    blocks, table, x_set = drawn
+    comp = (1 << blocks.n) - 1 ^ x_set
+    subsets = ga.audit._orbit_subsets(blocks, x_set, table)
+    masks = [y_set for y_set, _, _ in subsets]
+    assert masks[0] == 0 and all(a < b for a, b in zip(masks, masks[1:]))
+
+    orbit = {}  # subset of comp -> a root of its orbit (union-find)
+    def root(y_set):
+        while orbit.setdefault(y_set, y_set) != y_set:
+            y_set = orbit[y_set]
+        return y_set
+    swaps = [(1 << i, 1 << j) for block in blocks for i in block for j in block
+             if i < j and comp >> i & comp >> j & 1]
+    for y_set in ga.core.iter_submasks(comp):
+        for i, j in swaps:
+            if bool(y_set & i) != bool(y_set & j):
+                orbit[root(y_set ^ i ^ j)] = root(y_set)
+    least = {}
+    for y_set in ga.core.iter_submasks(comp):
+        least[root(y_set)] = min(least.get(root(y_set), y_set), y_set)
+    assert masks == sorted(least.values())
+
+    fx = table[x_set]
+    for y_set, best, total in subsets:
+        gains = [table[x_set | 1 << e] - fx for e in ga.indices_of(y_set)]
+        assert (best, total) == (max(gains, default=0), sum(gains))
+
+
+def test_oracles_keep_the_blocks_they_are_given(monkeypatch):
+    """A rank oracle shares its system's ``Blocks`` and a flow oracle its
+    instance's twin sinks, so the representatives are built once for both
+    ``rank_quotient`` and the optimum sweep."""
+    inst = ga.make_lower_bound_instance(2, 2)
+    assert ga.objective_oracle(inst).blocks is inst.twin_sinks
+    system, f = ga.make_rank_separator(HALF, 1, 3, 5)
+    assert ga.weighted_rank_oracle(system).blocks is f.blocks is system.blocks
+    plain = plain_system(system)
+    quotient, profile = ga.rank_quotient(plain), ga.optimum_profile(ga.weighted_rank_oracle(plain))
+    built, representatives = [], ga.Blocks.representatives
+
+    def counted(self):
+        built.append(representatives(self))
+        return built[-1]
+
+    monkeypatch.setattr(ga.Blocks, "representatives", counted)
+    assert ga.rank_quotient(system) == quotient
+    assert ga.optimum_profile(f) == profile
+    assert len(built) >= 2 and all(reps is built[0] for reps in built)
