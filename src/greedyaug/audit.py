@@ -26,8 +26,9 @@ pair; the first record above alpha is that failing pair.  The oracle keeps
 the records and the suspended scan for each gamma and scope (and tie policy
 in weak scope), so the calls of an ``audit`` bundle share one scan per gamma:
 a call reads the kept records and resumes the scan only past them.
-That scan and the weak ratio read one int value table from one preamble,
-``_audit_table``, which refuses non-monotone f with a ``ParameterError``: the
+That scan and the weak ratio read the oracle's one int value table
+(``SetFunctionOracle.scaled_reps``) from one preamble, ``_audit_table``,
+which refuses non-monotone f with a ``ParameterError``: the
 weak ratio is defined for monotone f only, and both visit only the pairs with
 Y disjoint from X (see ``_least_alpha``).
 
@@ -50,9 +51,13 @@ X is given and only its stabiliser moves Y.  For each X, both the scan and
 the weak ratio read Y from one enumeration, ``_orbit_subsets``: the least Y
 of each orbit of X's stabiliser in ascending mask order, with its best gain
 and its sum of gains at X, and each is one loop over that list against a
-running bar.  ``checked_pairs`` keeps its closed form over all pairs: an X
-skipped for its orbit still counts its 2**n - 2**|X| pairs.  With no blocks
-every mask is least, and the scan is the plain walk over all pairs.
+running bar.  The members of a block outside X share one gain, read at the
+lowest of them, so with X a least mask every X + Y read is a least mask too:
+a strong scan reads the table at its keys alone, and no blocked audit builds
+a list of all 2**n masks.  ``checked_pairs`` keeps its closed form over all
+pairs: an X skipped for its orbit still counts its 2**n - 2**|X| pairs.
+With no blocks every mask is least, the table is a list indexed by mask,
+and the scan is the plain walk over all pairs.
 
 Before evaluating f, the preamble passes the step count to ``require_budget``:
 n*2**n for the monotonicity check, plus 3**n disjoint pairs for strong scope
@@ -139,7 +144,8 @@ def _parameters(gamma, alpha=None) -> tuple[Fraction, Fraction]:
 
 def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
     """(in-scope X sets, f's value table scaled to ints by the LCM of its
-    denominators, that LCM), once the sweep's steps are within budget.
+    denominators and readable at every mask, that LCM), once the sweep's
+    steps are within budget.
 
     Each X comes with the pairs the scan over all masks checks before it:
     in strong scope the X sets are the least masks of their orbits and the
@@ -147,7 +153,7 @@ def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
     greedy chain up to saturation, and the count runs over the chain.
 
     The table and the monotonicity verdict are the oracle's own, built on its
-    first audit and kept (``SetFunctionOracle.scaled_table``).  Non-monotone f
+    first use and kept (``SetFunctionOracle.scaled_reps``).  Non-monotone f
     is refused on every call, with a set X and an element e that lowers f(X).
     """
     n = f.n
@@ -163,7 +169,7 @@ def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
         for x_set in trace.chain[: saturation_point(trace) + 1]:
             x_sets.append((x_set, checked))
             checked += (1 << n) - (1 << x_set.bit_count())
-    table, scale = f.scaled_table()
+    _, table, scale = f.scaled_reps()
     decrease = f.first_decrease()
     if decrease is not None:
         x_set, e = decrease
@@ -200,22 +206,24 @@ def _orbit_subsets(blocks, x_set, table) -> list[tuple[int, int, int]]:
 
     The stabiliser permutes the members of each block outside X among
     themselves, so the least Y of an orbit keeps its free elements and, per
-    block, the lowest c members outside X.  The list grows one element e of
+    block, the lowest c members outside X, which all have the gain of the
+    lowest one: f is read once per block.  The list grows one element e of
     the complement at a time, lowest first: a free e extends every Y so far,
     and a block member only the Ys that hold its block's previous member
     outside X, all of them at or after the index where that member's
     extensions start.  Every new Y holds e and so exceeds every earlier Y,
     which keeps the list in mask order."""
     fx, subsets, rest = table[x_set], [(0, 0, 0)], (1 << blocks.n) - 1 ^ x_set
-    last = {}  # block -> (its latest member outside X, where the Ys holding it start)
+    last = {}  # block -> (its latest member outside X, where the Ys holding it start, gain)
     while rest:
         bit = rest & -rest
         rest ^= bit
-        g, prev, start = table[x_set | bit] - fx, 0, 0
-        if not blocks.free & bit:
+        if blocks.free & bit:
+            g, prev, start = table[x_set | bit] - fx, 0, 0
+        else:
             block = blocks.block_of[bit.bit_length() - 1]
-            prev, start = last.get(block, (0, 0))
-            last[block] = bit, len(subsets)
+            prev, start, g = last.get(block) or (0, 0, table[x_set | bit] - fx)
+            last[block] = bit, len(subsets), g
         if prev:
             subsets += [(y_set | bit, best if best > g else g, total + g)
                         for y_set, best, total in islice(subsets, start, None) if y_set & prev]
@@ -279,7 +287,7 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
                 raise
         record = records[i]
         if record[1] is None or record[0] == math.inf:
-            kept[1] = None  # finished: drop the suspended scan and its 2**n list of sizes
+            kept[1] = None  # finished: drop the suspended scan
             return record
         if record[0] > cap:
             return record
@@ -298,22 +306,21 @@ def _scan(blocks, x_sets, table, scale, gamma):
     """
     p, q = gamma.numerator, gamma.denominator
     a, b = p, q  # the least alpha so far, a/b
-    sizes = [y_set.bit_count() for y_set in range(1 << blocks.n)]
     for x_set, checked in x_sets:
         fx = table[x_set]
         pb, qb, bar = p * b, q * b, a * q * fx
         for y_set, g, _ in _orbit_subsets(blocks, x_set, table):
-            if pb * table[x_set | y_set] - qb * g * sizes[y_set] <= bar:
+            if pb * table[x_set | y_set] - qb * g * y_set.bit_count() <= bar:
                 continue
             top = 1 << y_set.bit_length() - 1  # Y' <= Y inside X: the subsets of X below top
-            at = checked + y_set - (1 << sizes[x_set & top - 1]) + 1
+            at = checked + y_set - (1 << (x_set & top - 1).bit_count()) + 1
             if fx == 0:
                 yield math.inf, x_set, y_set, Fraction(g, scale), at
                 return
-            a, b = p * table[x_set | y_set] - q * g * sizes[y_set], q * fx
+            a, b = p * table[x_set | y_set] - q * g * y_set.bit_count(), q * fx
             pb, qb, bar = p * b, q * b, a * q * fx
             yield Fraction(a, b), x_set, y_set, Fraction(g, scale), at
-    yield Fraction(a, b), None, None, None, checked + (1 << blocks.n) - (1 << sizes[x_set])
+    yield Fraction(a, b), None, None, None, checked + (1 << blocks.n) - (1 << x_set.bit_count())
 
 
 def _augmentability_audit(f, gamma, alpha, scope, tie, existential):

@@ -28,15 +28,17 @@ That least mask is the orbit's smallest, and its sorted index tuple is the
 orbit's lexicographically smallest too: it takes each member from no higher
 an index than any other mask of the orbit.  The oracle hands its evaluator
 least masks only, memoizes one value per orbit, and keeps f at the least
-masks, the orbit representatives, as ints (``scaled_reps``).  Both optimum
-sweeps read the representatives alone: every value is its representative's,
-and the representative wins every tie its orbit could, so the profile is the
-one of the sweep over all 2**n masks.  Blocks come from a proof about the
-family or from a check against its data, never from the caller's say-so.
-The monotonicity check (``first_decrease``) reads the least masks X with
-every element e, since (X, e) and its image under a permutation inside the
-blocks compare the same two values, and the audits visit one pair per orbit
-too (see ``audit``).
+masks, the orbit representatives, as ints in one table keyed by them that
+reads any other mask at its least mask (``scaled_reps``, ``Blocks.table``).
+Both optimum sweeps read the representatives alone: every value is its
+representative's, and the representative wins every tie its orbit could, so
+the profile is the one of the sweep over all 2**n masks.  Blocks come from a
+proof about the family or from a check against its data, never from the
+caller's say-so.  The monotonicity check (``first_decrease``) probes each
+least mask X with its free elements and the lowest member of each block
+outside it, since (X, e) and its image under a permutation inside the blocks
+compare the same two values, and the audits visit one pair per orbit too
+(see ``audit``).  No blocked sweep builds a list of all 2**n masks.
 """
 
 from __future__ import annotations
@@ -135,9 +137,10 @@ class Blocks(tuple):
     tuples of at least two elements each, refused with ``ParameterError``
     otherwise.  ``least`` maps a mask to the least mask of its orbit under
     permutations inside each block, ``representatives`` lists those least
-    masks in ascending order (built once and kept), ``spread`` copies values
-    at them to every mask, ``free`` is the mask of the elements in no block,
-    and ``block_of`` maps each member of a block to that block's mask.
+    masks in ascending order (built once and kept), ``table`` keys values
+    by them and reads every other mask at its least mask, ``free`` is the
+    mask of the elements in no block, and ``block_of`` maps each member of a
+    block to that block's mask.
 
     Each block keeps its mask and its members followed by n, so the lowest c
     members are ``block & (1 << ends[c]) - 1``: memory linear in the block.
@@ -209,24 +212,29 @@ class Blocks(tuple):
             self._reps = sorted(masks)
         return self._reps
 
-    def spread(self, values) -> list:
-        """``values`` at the ``representatives()``, copied to every mask of
-        their orbits: a list indexed by mask (``values`` itself with no
-        block).  The least masks of all 2**n masks are built one element at a
-        time: a mask below 2**i with element i added keeps its least mask
-        and, if i is in a block, gains that block's next member."""
-        if not self:
-            return values
-        at, least = dict(zip(self.representatives(), values)), [0]
-        block_of = {i: block for block in self._ends for i in block[1][:-1]}
-        for i in range(self.n):
-            block = block_of.get(i)
-            if block is None:
-                least += [mask | 1 << i for mask in least]
-            else:
-                bits, members = block
-                least += [mask | 1 << members[(mask & bits).bit_count()] for mask in least]
-        return [at[mask] for mask in least]
+    def table(self, values):
+        """``values`` at the ``representatives()``, readable at every mask:
+        ``values`` itself when there is no block (every mask is least, so the
+        index is the mask), else an ``OrbitTable`` keyed by the least masks."""
+        return OrbitTable(zip(self.representatives(), values), self.least) if self else values
+
+
+class OrbitTable(dict):
+    """Values keyed by the least masks of their orbits (``Blocks.table``).
+    Any other mask reads the value at its least mask; a least mask that is
+    not a key, such as a mask outside the ground set, is a ``KeyError``."""
+
+    __slots__ = ("least",)
+
+    def __init__(self, items, least):
+        super().__init__(items)
+        self.least = least
+
+    def __missing__(self, mask):
+        least = self.least(mask)
+        if least == mask:
+            raise KeyError(mask)
+        return self[least]
 
 
 def iter_submasks(mask: int):
@@ -266,9 +274,9 @@ class SetFunctionOracle:
     for the same subset return the identical Fraction.
 
     ``scaled_reps()`` holds f at the orbit representatives as ints over one
-    scale, the lcm of their denominators, built on first use and kept for
-    the optimum sweep; the audits read ``scaled_table()``, those ints spread
-    once to all 2**n masks and kept.
+    scale, the lcm of their denominators, in one table that reads every mask
+    (``Blocks.table``), built on first use and kept for the optimum sweep
+    and the audits.
     ``first_decrease()`` decides monotonicity once on that table and keeps
     the verdict; this type refuses nothing itself, the augmentability audits
     refuse non-monotone input on every call.  ``scans`` holds the audits'
@@ -291,7 +299,7 @@ class SetFunctionOracle:
         self._fn = fn
         self._full = ground.full_mask()
         self._cache: dict[int, Fraction] = {}
-        self._reps_scaled = self._scaled = None  # scaled_reps(), scaled_table(), once built
+        self._reps_scaled = None  # scaled_reps(), once built
         self._decrease = _UNDECIDED  # then (X, e) or None, see first_decrease
         self.scans: dict = {}  # (gamma, scope[, tie]) -> [records, suspended scan or None]
         self.chains: dict = {}  # tie -> (chain, picks, gains, values, tie_log) so far
@@ -320,55 +328,53 @@ class SetFunctionOracle:
         """All 2**n values, indexed by mask, read through the memo."""
         return [self.value(mask) for mask in range(1 << self.n)]
 
-    def scaled_reps(self) -> tuple[Sequence[int], list[int], int]:
-        """(representatives, values, scale): the least masks in ascending
-        order, f * scale at each as an int, and scale, the lcm of the
-        denominators of their values; built once and kept."""
+    def scaled_reps(self) -> tuple[Sequence[int], Sequence[int], int]:
+        """(representatives, table, scale): the least masks in ascending
+        order, ``table[mask]`` = f(mask) * scale as an int at every mask
+        (``Blocks.table``), and scale, the lcm of the denominators of the
+        values at the representatives; built once and kept."""
         if self._reps_scaled is None:
             reps = self.blocks.representatives()
             values = [self.value(mask) for mask in reps]
             scale = math.lcm(*(v.denominator for v in values))
-            self._reps_scaled = reps, [v.numerator * (scale // v.denominator) for v in values], scale
+            table = self.blocks.table([v.numerator * (scale // v.denominator) for v in values])
+            self._reps_scaled = reps, table, scale
         return self._reps_scaled
-
-    def scaled_table(self) -> tuple[tuple[int, ...], int]:
-        """(values, scale): f(X) * scale at index X, the ``scaled_reps()``
-        values spread to every mask once and kept."""
-        if self._scaled is None:
-            _, values, scale = self.scaled_reps()
-            self._scaled = tuple(self.blocks.spread(values)), scale
-        return self._scaled
 
     def first_decrease(self) -> tuple[int, int] | None:
         """(X, e) with f(X + e) < f(X), for the least such e and then the least
-        X, or None when f is monotone; decided once, on ``scaled_table()``."""
+        X, or None when f is monotone; decided once, on ``scaled_reps()``."""
         if self._decrease is _UNDECIDED:
-            reps = self.blocks.representatives()
-            self._decrease = _first_decrease(self.scaled_table()[0], self.n, reps)
+            self._decrease = _first_decrease(self.scaled_reps()[1], self.n, self.blocks)
         return self._decrease
 
     def __repr__(self):
         return f"SetFunctionOracle({self.name}, n={self.n})"
 
 
-def _first_decrease(table, n: int, reps) -> tuple[int, int] | None:
-    """Monotonicity is proved on the least masks ``reps`` alone: a
-    permutation inside the blocks maps (X, e) to (least(X), its image of e)
-    with the same two values.  Only a refusal scans every mask, to name the
-    least e and then the least X."""
-    found = _lowering(table, n, reps)
-    return found and _lowering(table, n, range(len(table)))
-
-
-def _lowering(table, n: int, x_sets) -> tuple[int, int] | None:
-    """The least e, then the first X of ``x_sets`` without e, with f(X + e) < f(X)."""
+def _first_decrease(table, n: int, blocks) -> tuple[int, int] | None:
+    """Monotonicity is proved on the least masks X alone: a permutation
+    inside the blocks maps (X, e) to (least(X), its image of e) with the same
+    two values, and the members of a block outside X add the same value.  So
+    each X is probed with its free elements and the lowest member of each
+    block outside it, a member e being that for the X whose part of its
+    block is the members below e.  Every mask probed is least too.  Only a
+    refusal scans every mask, to name the least e and then the least X."""
+    reps = blocks.representatives()
     for e in range(n):
         bit = 1 << e
-        lower = (x for x in x_sets if not x & bit and table[x | bit] < table[x])
-        x_set = next(lower, None)
-        if x_set is not None:
-            return x_set, e
+        block = blocks.block_of.get(e, bit)
+        below = block & bit - 1
+        lower = (x for x in reps if x & block == below and table[x | bit] < table[x])
+        if next(lower, None) is not None:
+            return _lowering(table, n)
     return None
+
+
+def _lowering(table, n: int) -> tuple[int, int]:
+    """The least e, then the least X without e, with f(X + e) < f(X)."""
+    return next((x, e) for e in range(n) for x in range(1 << n)
+                if not x >> e & 1 and table[x | 1 << e] < table[x])
 
 
 def tie_preference(tie: TiePolicy, n: int) -> list[int]:
@@ -523,10 +529,10 @@ def optimum_profile(f: SetFunctionOracle) -> list[OptimumRecord]:
     """
     n = f.n
     require_budget(1 << n, f"optimum sweep over n={n}")
-    masks, values, scale = f.scaled_reps()  # ints over one scale compare as values do
+    masks, table, scale = f.scaled_reps()  # ints over one scale compare as values do
     by_size: list[tuple[int, int] | None] = [None] * (n + 1)
-    for mask, value in zip(masks, values):
-        c = mask.bit_count()
+    for mask in masks:
+        value, c = table[mask], mask.bit_count()
         entry = by_size[c]
         if entry is None or _better(value, mask, entry[0], entry[1]):
             by_size[c] = (value, mask)

@@ -237,7 +237,9 @@ def rank_quotient(sys: IndependenceSystem) -> RankQuotientResult:
     least X = I + extra are visited.  The members of a block outside a least
     I all extend it or none does, so one probe decides each block, and the
     extras are the representative subsets of D(I) (``Blocks.choices``).
-    Without blocks every mask is least and every subset of D(I) an extra.
+    The sizes are kept in two tables keyed by the least masks
+    (``Blocks.table``), one entry per orbit.  Without blocks every mask is
+    least, every subset of D(I) an extra, and each table a list of 2**n.
 
     The witness is the first X in mask order with the least quotient, the
     least mask of its orbit.  Ties: among its smallest (and among its
@@ -252,9 +254,9 @@ def rank_quotient(sys: IndependenceSystem) -> RankQuotientResult:
     sys.validate()
     blocks = sys.blocks
     full = (1 << n) - 1
-    small = [n + 1] * (1 << n)  # size of the smallest basis of X found so far
-    large = [-1] * (1 << n)  # every X has a basis: the empty set is independent
     reps = blocks.representatives()
+    small = blocks.table([n + 1] * len(reps))  # size of the smallest basis of X found so far
+    large = blocks.table([-1] * len(reps))  # every X has a basis: the empty set is independent
     for basis in reps:
         if not sys.independent(basis):
             continue

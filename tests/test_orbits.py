@@ -7,6 +7,7 @@ evaluates every mask itself.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -205,12 +206,12 @@ def test_greedy_memoizes_one_entry_per_orbit():
 
 def test_orbit_bookkeeping_is_built_once_per_oracle(monkeypatch):
     """A strong audit bundle and an optimum sweep on one blocked oracle share
-    one list of representatives, one scaled build and one spread over the
-    2**n masks."""
+    one list of representatives and one scaled build: one value table with
+    one entry per orbit."""
     expected = ga.optimum_profile(plain_critical(HALF, 1, 5))
-    reps, builds, spreads = [], [], []
+    reps, builds, tables = [], [], []
     representatives, scaled_reps = ga.Blocks.representatives, ga.SetFunctionOracle.scaled_reps
-    spread = ga.Blocks.spread
+    table = ga.Blocks.table
 
     def counted(calls, fn):
         def call(self, *args):
@@ -220,13 +221,66 @@ def test_orbit_bookkeeping_is_built_once_per_oracle(monkeypatch):
 
     monkeypatch.setattr(ga.Blocks, "representatives", counted(reps, representatives))
     monkeypatch.setattr(ga.SetFunctionOracle, "scaled_reps", counted(builds, scaled_reps))
-    monkeypatch.setattr(ga.Blocks, "spread", counted(spreads, spread))
+    monkeypatch.setattr(ga.Blocks, "table", counted(tables, table))
     f = ga.make_critical_function(HALF, 1, 5)
     audits(f, HALF, [HALF, 1, 2], "strong", "low")
     assert ga.optimum_profile(f) == expected
     assert len(reps) >= 4 and all(r is reps[0] for r in reps)
-    assert len(builds) == 2 and builds[0] is builds[1] and builds[0][0] is reps[0]
-    assert len(spreads) == 1
+    assert len(builds) >= 2 and all(build is builds[0] for build in builds)
+    assert builds[0][0] is reps[0] and len(tables) == 1 and builds[0][1] is tables[0]
+    assert isinstance(tables[0], ga.core.OrbitTable) and len(tables[0]) == len(reps[0]) < 1 << f.n
+
+
+def test_strong_scan_reads_least_masks_only(monkeypatch):
+    """With X a least mask, every X + Y a strong audit reads is one too, so
+    the value table never reads a mask through its least mask."""
+    missed, missing = [], ga.core.OrbitTable.__missing__
+
+    def counted(self, mask):
+        missed.append(mask)
+        return missing(self, mask)
+
+    monkeypatch.setattr(ga.core.OrbitTable, "__missing__", counted)
+    f = ga.make_critical_function(HALF, 1, 5)
+    assert audits(f, HALF, [HALF, 1, 2], "strong", "low") == audits(
+        plain_critical(HALF, 1, 5), HALF, [HALF, 1, 2], "strong", "low")
+    assert missed == []
+    table = f.scaled_reps()[1]
+    assert table[1 << 9] == table[1 << 6] and missed == [1 << 9]  # b_5 and b_2
+
+
+def test_orbit_table_refuses_a_least_mask_it_does_not_hold(monkeypatch):
+    """A mask outside the ground set is a ``KeyError``: at once when it is
+    its own least mask, and after one read at its least mask otherwise."""
+    missed, missing = [], ga.core.OrbitTable.__missing__
+
+    def counted(self, mask):
+        missed.append(mask)
+        return missing(self, mask)
+
+    monkeypatch.setattr(ga.core.OrbitTable, "__missing__", counted)
+    table = ga.Blocks([(0, 1)], 3).table([10, 11, 12, 13, 14, 15])
+    assert [table[mask] for mask in range(8)] == [10, 11, 11, 12, 13, 14, 14, 15]
+    missed.clear()
+    with pytest.raises(KeyError):
+        table[0b1000]
+    assert missed == [0b1000]
+    missed.clear()
+    with pytest.raises(KeyError):
+        table[0b1010]
+    assert missed == [0b1010, 0b1001]
+
+
+def test_blocked_weak_audit_allocates_no_table_of_every_mask():
+    """square(16) has 17 orbits; a weak least-alpha scan on it allocates
+    nothing the size of its 2**16 masks."""
+    tracemalloc.start()
+    try:
+        assert ga.min_alpha_for(ga.make_square_cardinality(16), 1, scope="weak") == math.inf
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_zero_value_x_stops_the_scan_at_its_first_passing_pair():
@@ -380,7 +434,7 @@ def blocks_and_masks(draw):
 def test_least_masks_are_each_blocks_lowest_members(drawn):
     """``least`` keeps, in each block, as many members as the mask holds, at
     the block's lowest indices; ``representatives`` lists the same least
-    masks, and spreading each to its orbit puts least(mask) at every mask."""
+    masks, and a table of them reads least(mask) at every mask."""
     blocks, masks = drawn
     for mask in masks:
         expected = mask
@@ -391,14 +445,15 @@ def test_least_masks_are_each_blocks_lowest_members(drawn):
     least = [blocks.least(mask) for mask in range(1 << blocks.n)]
     reps = blocks.representatives()
     assert list(reps) == sorted(set(least))
-    assert list(blocks.spread(list(reps))) == least
+    table = blocks.table(list(reps))
+    assert [table[mask] for mask in range(1 << blocks.n)] == least
 
 
 def test_orbit_scans_visit_one_pair_per_orbit():
     """The pairs the audits visit on the paper's blocked instances: for each
     X, the nonempty Ys that ``_orbit_subsets`` lists."""
     def pairs(f, x_sets):
-        table = f.scaled_table()[0]
+        table = f.scaled_reps()[1]
         return sum(len(ga.audit._orbit_subsets(f.blocks, x_set, table)) - 1 for x_set, _ in x_sets)
 
     critical = ga.make_critical_function(HALF, 1, 6)
@@ -411,9 +466,11 @@ def test_orbit_scans_visit_one_pair_per_orbit():
 
 @st.composite
 def blocks_tables_and_sets(draw):
-    """Random blocks, a monotone int table (it need not respect the blocks:
-    the enumeration reads only gains at X) and any X, least mask of its orbit
-    or not."""
+    """Random blocks, a monotone int table that respects them, and any X,
+    least mask of its orbit or not.  The table reads each mask at its least
+    mask, as every caller's f does: the enumeration reads one gain per block.
+    That keeps it monotone, since adding an element to a mask adds one to its
+    least mask."""
     blocks, _ = draw(blocks_and_masks())
     n = blocks.n
     increments = draw(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n))
@@ -421,6 +478,7 @@ def blocks_tables_and_sets(draw):
     for mask in range(1 << n):
         below = [table[mask ^ 1 << e] for e in range(n) if mask >> e & 1]
         table.append(max(below, default=0) + increments[mask])
+    table = [table[blocks.least(mask)] for mask in range(1 << n)]
     return blocks, table, draw(st.integers(0, (1 << n) - 1))
 
 
