@@ -54,10 +54,14 @@ and its sum of gains at X, and each is one loop over that list against a
 running bar.  The members of a block outside X share one gain, read at the
 lowest of them, so with X a least mask every X + Y read is a least mask too:
 a strong scan reads the table at its keys alone, and no blocked audit builds
-a list of all 2**n masks.  ``checked_pairs`` keeps its closed form over all
-pairs: an X skipped for its orbit still counts its 2**n - 2**|X| pairs.
-With no blocks every mask is least, the table is a list indexed by mask,
-and the scan is the plain walk over all pairs.
+a list of all 2**n masks.  With no blocks every mask is least, the table is
+a list indexed by mask, and the scan is the plain walk over all pairs.
+
+``checked_pairs`` is not the number of pairs a scan visits: it counts the
+pairs (X, Y), Y not inside X, that a scan over every in-scope mask would
+check up to the report's last pair, an X skipped for its orbit still
+counting its 2**n - 2**|X| pairs.  The scans carry no count; a report reads
+it from its last pair by one closed form per scope (``_checked_pairs``).
 
 Before evaluating f, the preamble passes the step count to ``require_budget``:
 n*2**n for the monotonicity check, plus 3**n disjoint pairs for strong scope
@@ -147,10 +151,9 @@ def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
     denominators and readable at every mask, that LCM), once the sweep's
     steps are within budget.
 
-    Each X comes with the pairs the scan over all masks checks before it:
-    in strong scope the X sets are the least masks of their orbits and the
-    count runs over every mask (``_least_sets``); in weak scope they are the
-    greedy chain up to saturation, and the count runs over the chain.
+    In strong scope the X sets are the least masks of their orbits
+    (``Blocks.representatives``), in weak scope the greedy chain up to
+    saturation, each in the order the scans visit them.
 
     The table and the monotonicity verdict are the oracle's own, built on its
     first use and kept (``SetFunctionOracle.scaled_reps``).  Non-monotone f
@@ -162,13 +165,10 @@ def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
     steps = 3**n + (n << n) if scope == "strong" else (n + 2) << n
     require_budget(steps, f"{scope}-scope audit over n={n}")
     if scope == "strong":
-        x_sets = _least_sets(f.blocks)
+        x_sets = f.blocks.representatives()
     else:
         trace = greedy_adaptive(f, n, tie)
-        x_sets, checked = [], 0
-        for x_set in trace.chain[: saturation_point(trace) + 1]:
-            x_sets.append((x_set, checked))
-            checked += (1 << n) - (1 << x_set.bit_count())
+        x_sets = trace.chain[: saturation_point(trace) + 1]
     _, table, scale = f.scaled_reps()
     decrease = f.first_decrease()
     if decrease is not None:
@@ -180,23 +180,26 @@ def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
     return x_sets, table, scale
 
 
-def _least_sets(blocks):
-    """The least masks X in ascending order, each with the pairs (X', Y), Y
-    not inside X', that a scan over every mask checks for the X' < X: a mask
-    skipped for its orbit still counts its 2**n - 2**|X'| pairs.
+def _checked_pairs(n, scope, x_set, y_set):
+    """The pairs (X', Y'), Y' not inside X', that a scan over every in-scope
+    mask checks up to (X, Y), or up to the last Y at X when Y is None.
 
-    The count runs on over consecutive least masks; after a gap it is
-    X * 2**n minus 2**|X'| summed over the X' < X.  Those X' that first
-    differ from X, from the top, at its element i keep X's h elements above
-    i and any of the 2**i subsets below it, and add up to 3**i * 2**h."""
-    n, pairs, checked, after = blocks.n, 1 << blocks.n, 0, 0  # checked: pairs below after
-    for x_set in blocks.representatives():
-        if x_set != after:
-            checked = x_set * pairs - sum(3**i << (x_set >> i + 1).bit_count()
-                                          for i in range(n) if x_set >> i & 1)
-        yield x_set, checked
-        checked += pairs - (1 << x_set.bit_count())
-        after = x_set + 1
+    The X' before X add 2**n - 2**|X'| each.  In weak scope the j-th chain
+    prefix has j elements, so they add j * 2**n - 2**j + 1.  In strong scope
+    they add X * 2**n minus 2**|X'| summed over the X' < X: those X' that first
+    differ from X, from the top, at its element i keep X's h elements above i
+    and any of the 2**i subsets below it, and add up to 3**i * 2**h.  At X, Y
+    (disjoint from X) adds the Y' <= Y less the subsets of X below top(Y)."""
+    if scope == "weak":
+        j = x_set.bit_count()
+        checked = (j << n) - (1 << j) + 1
+    else:
+        checked = (x_set << n) - sum(3**i << (x_set >> i + 1).bit_count()
+                                     for i in range(n) if x_set >> i & 1)
+    if y_set is None:
+        return checked + (1 << n) - (1 << x_set.bit_count())
+    top = 1 << y_set.bit_length() - 1
+    return checked + y_set - (1 << (x_set & top - 1).bit_count()) + 1
 
 
 def _orbit_subsets(blocks, x_set, table) -> list[tuple[int, int, int]]:
@@ -234,14 +237,14 @@ def _orbit_subsets(blocks, x_set, table) -> list[tuple[int, int, int]]:
 
 
 def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
-    """(alpha, X, Y, best gain, pairs checked): the first record of the scan
-    of in-scope pairs (X, Y), Y not inside X, in mask order whose alpha
-    exceeds ``cap``, else the scan's final record.
+    """(alpha, X, Y, best gain): the first record of the scan of in-scope
+    pairs (X, Y), Y not inside X, in mask order whose alpha exceeds ``cap``,
+    else the scan's final record.
 
     A record is written each time the running least alpha >= gamma rises, at
     the pair (X, Y) that raised it; with f(X) = 0 no finite alpha suffices, the
     record reads inf and ends the scan.  Otherwise the final record (least
-    alpha, None, None, None, pairs checked) ends it.  The first pair needing
+    alpha, the last in-scope X, None, None) ends it.  The first pair needing
     more than some alpha >= gamma is where the running value first exceeds
     it, so that pair is a record: the records answer every cap, and an audit
     at alpha stops where a scan capped at alpha would.
@@ -263,10 +266,9 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
     needing more than any bar is disjoint and the largest need is reached on a
     disjoint pair: the verdict, the witness and the least alpha are those of
     the scan over all pairs.  Of the disjoint pairs, ``_scan`` visits the
-    least of each orbit of the blocks (see the module docstring).
-    ``checked`` counts the pairs that scan over all pairs would examine:
-    2**n - 2**|X| for each finished X, skipped for its orbit or not, and at a
-    record (X, Y) the Y' <= Y not inside X.
+    least of each orbit of the blocks (see the module docstring).  The
+    records carry no pair count: a report reads its ``checked_pairs`` from
+    the record's X and Y (``_checked_pairs``).
     """
     if existential not in ("full", "difference"):
         raise ParameterError(f"unknown existential scope {existential!r}")
@@ -286,7 +288,7 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
                 del f.scans[key]
                 raise
         record = records[i]
-        if record[1] is None or record[0] == math.inf:
+        if record[2] is None or record[0] == math.inf:
             kept[1] = None  # finished: drop the suspended scan
             return record
         if record[0] > cap:
@@ -295,9 +297,10 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
 
 
 def _scan(blocks, x_sets, table, scale, gamma):
-    """Yield the records of ``_least_alpha`` for the scope sets ``x_sets``,
-    visiting one pair per orbit of the oracle's ``blocks``: for each X, the
-    Ys of ``_orbit_subsets`` in mask order (see the module docstring).
+    """Yield the records (alpha, X, Y, best gain) of ``_least_alpha`` for
+    the scope sets ``x_sets``, visiting one pair per orbit of the oracle's
+    ``blocks``: for each X, the Ys of ``_orbit_subsets`` in mask order (see
+    the module docstring).  The final record names the last X, with Y None.
 
     It runs on the int table of ``_audit_table``: with gamma = p/q and the
     running least alpha a/b, the pair needs more when
@@ -306,29 +309,28 @@ def _scan(blocks, x_sets, table, scale, gamma):
     """
     p, q = gamma.numerator, gamma.denominator
     a, b = p, q  # the least alpha so far, a/b
-    for x_set, checked in x_sets:
+    for x_set in x_sets:
         fx = table[x_set]
         pb, qb, bar = p * b, q * b, a * q * fx
         for y_set, g, _ in _orbit_subsets(blocks, x_set, table):
             if pb * table[x_set | y_set] - qb * g * y_set.bit_count() <= bar:
                 continue
-            top = 1 << y_set.bit_length() - 1  # Y' <= Y inside X: the subsets of X below top
-            at = checked + y_set - (1 << (x_set & top - 1).bit_count()) + 1
             if fx == 0:
-                yield math.inf, x_set, y_set, Fraction(g, scale), at
+                yield math.inf, x_set, y_set, Fraction(g, scale)
                 return
             a, b = p * table[x_set | y_set] - q * g * y_set.bit_count(), q * fx
             pb, qb, bar = p * b, q * b, a * q * fx
-            yield Fraction(a, b), x_set, y_set, Fraction(g, scale), at
-    yield Fraction(a, b), None, None, None, checked + (1 << blocks.n) - (1 << x_set.bit_count())
+            yield Fraction(a, b), x_set, y_set, Fraction(g, scale)
+    yield Fraction(a, b), x_set, None, None
 
 
 def _augmentability_audit(f, gamma, alpha, scope, tie, existential):
-    _, x_set, y_set, best, checked = _least_alpha(f, gamma, scope, tie, existential, cap=alpha)
+    _, x_set, y_set, best = _least_alpha(f, gamma, scope, tie, existential, cap=alpha)
     witness = None
-    if x_set is not None:
+    if y_set is not None:
         rhs = (gamma * f.value(x_set | y_set) - alpha * f.value(x_set)) / y_set.bit_count()
         witness = Witness(x_set, y_set, best, rhs)
+    checked = _checked_pairs(f.n, scope, x_set, y_set)
     return AuditReport(witness is None, gamma, alpha, scope, tie, existential, witness, checked)
 
 
@@ -379,15 +381,15 @@ def weak_submodularity_ratio(f: SetFunctionOracle, tie: TiePolicy = "low") -> Ra
     against a running bar that only falls (see the module docstring).
     """
     x_sets, table, _ = _audit_table(f, "weak", tie)
-    num, den, x_best, y_best, checked = 1, 1, 0, 0, 0
-    for x_set, _ in x_sets:
+    num, den, x_best, y_best = 1, 1, 0, 0
+    for x_set in x_sets:
         fx = table[x_set]
         for y_set, _, total in _orbit_subsets(f.blocks, x_set, table):
             joint = table[x_set | y_set] - fx
             if total * den < num * joint:  # never at joint 0: 0/0 is 1, positive/0 +inf
                 num, den, x_best, y_best = total, joint, x_set, y_set
-        checked += (1 << f.n - x_set.bit_count()) - 1
-    return RatioResult(Fraction(num, den), x_best, y_best, checked, tie)
+    s = len(x_sets) - 1  # the saturation point: 2**(n - j) - 1 nonempty Ys at prefix j <= s
+    return RatioResult(Fraction(num, den), x_best, y_best, (2 << f.n) - (1 << f.n - s) - s - 1, tie)
 
 
 def min_alpha_for(

@@ -222,6 +222,8 @@ class FlowInstance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FlowInstance":
+        if not isinstance(d, dict):
+            raise ParameterError(f"a flow instance must be a JSON object, got {type(d).__name__}")
         rows = d["capacities"]
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
             raise ParameterError(f"capacities must be a JSON list of JSON lists, got {rows!r}")
@@ -233,17 +235,23 @@ class FlowInstance:
             isinstance(labels, list) and all(isinstance(s, str) for s in labels)
         ):
             raise ParameterError(f"labels must be a JSON list of strings, got {labels!r}")
+        arcs, sinks, name = d["arcs"], d["sinks"], d.get("name", "flow")
+        if not (isinstance(arcs, list) and all(isinstance(a, list) and len(a) == 2 for a in arcs)):
+            raise ParameterError(f"arcs must be a JSON list of [tail, head] lists, got {arcs!r}")
+        if not isinstance(sinks, list):
+            raise ParameterError(f"sinks must be a JSON list, got {sinks!r}")
+        if not isinstance(name, str):
+            raise ParameterError(f"name must be a JSON string, got {name!r}")
         return cls(
             num_vertices=require_int(d["vertices"], "vertices"),
             arcs=tuple(
-                (require_int(u, "arc endpoint"), require_int(v, "arc endpoint"))
-                for u, v in d["arcs"]
+                (require_int(u, "arc endpoint"), require_int(v, "arc endpoint")) for u, v in arcs
             ),
             source=require_int(d["source"], "source"),
-            sinks=tuple(require_int(t, "sink") for t in d["sinks"]),
+            sinks=tuple(require_int(t, "sink") for t in sinks),
             capacities=caps,
             labels=tuple(labels) if labels else None,
-            name=d.get("name", "flow"),
+            name=name,
         )
 
     @classmethod

@@ -241,9 +241,9 @@ class TestResumableScan:
         started = []
         scan = audit._scan
 
-        def counted(n, x_sets, table, scale, gamma):
+        def counted(blocks, x_sets, table, scale, gamma):
             started.append(gamma)
-            return scan(n, x_sets, table, scale, gamma)
+            return scan(blocks, x_sets, table, scale, gamma)
 
         monkeypatch.setattr(audit, "_scan", counted)
         return started
@@ -282,8 +282,8 @@ class TestResumableScan:
         assert pending is not None and records[-1][0] > F(3, 2)
         assert ga.min_alpha_for(f, 1, scope="strong") == 2
         records, pending = f.scans[(1, "strong")]
-        assert pending is None and records[-1][1:4] == (None, None, None)
-        assert ga.check_alpha_augmentable(f, 2).checked_pairs == records[-1][4]
+        assert pending is None and records[-1][1:] == ((1 << f.n) - 1, None, None)
+        assert ga.check_alpha_augmentable(f, 2).checked_pairs == 4**f.n - 3**f.n
 
     def test_interrupted_scan_starts_over(self, monkeypatch):
         scan = audit._scan
@@ -585,3 +585,32 @@ def test_shared_scan_matches_fresh_oracle(drawn):
         args = (gamma, gamma + step, scope, tie)
         fresh = build_monotone_oracle(n, increments)
         assert AUDIT_CALLS[kind](shared, *args) == AUDIT_CALLS[kind](fresh, *args)
+
+
+def count_pairs(n, x_sets, y_set):
+    """The pairs (X', Y'), Y' not inside X', of a scan over every mask that
+    runs X' along ``x_sets`` and stops at (last X, Y), or after the last X when
+    Y is None: each counted directly."""
+    *before, x_set = x_sets
+    checked = sum(1 for x in before for y in range(1 << n) if y & ~x)
+    return checked + sum(1 for y in range(1 << n if y_set is None else y_set + 1) if y & ~x_set)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1), st.permutations(range(n)),
+    st.integers(0, n))))
+def test_checked_pairs_closed_forms_match_direct_counts(drawn):
+    """``checked_pairs`` in each scope, and the weak ratio's count, against a
+    count of the pairs a scan over every mask checks."""
+    n, x_set, y_set, order, s = drawn
+    y_set &= ~x_set
+    for y in (y_set or None, None):
+        assert audit._checked_pairs(n, "strong", x_set, y) == count_pairs(n, range(x_set + 1), y)
+    chain = [ga.mask_of(order[:j]) for j in range(n + 1)]
+    y_set &= ~chain[s]
+    for y in (y_set or None, None):
+        assert audit._checked_pairs(n, "weak", chain[s], y) == count_pairs(n, chain[:s + 1], y)
+    # The weak ratio counts the nonempty Y disjoint from each prefix up to saturation s.
+    ratio = ga.weak_submodularity_ratio(ga.make_modular([1] * s + [0] * (n - s)))
+    assert ratio.checked_pairs == sum((1 << n - j) - 1 for j in range(s + 1))

@@ -313,8 +313,22 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
                       '{"gamma": "1", "alpha": "1", "k": null}'], None, "int()", id="null-k"),
         pytest.param(["gen-instance", "--family", "gk", "--params", '{"alpha": null, "k": 2}'],
                      None, "int()", id="null-alpha"),
-        pytest.param(["trace"], {**TWO_SINK_JSON, "arcs": None}, "--instance", id="null-arcs"),
-        pytest.param(["trace"], [TWO_SINK_JSON], "--instance", id="array-instance"),
+        pytest.param(["trace"], {**TWO_SINK_JSON, "arcs": None},
+                     "arcs must be a JSON list of [tail, head] lists, got None", id="null-arcs"),
+        pytest.param(["trace"], [TWO_SINK_JSON],
+                     "a flow instance must be a JSON object, got list", id="array-instance"),
+        pytest.param(["trace"], {**THREE_VERTEX_JSON, "arcs": [[0, 1, 2]]},
+                     "arcs must be a JSON list of [tail, head] lists, got [[0, 1, 2]]",
+                     id="three-endpoint-arc"),
+        pytest.param(["trace"], {**THREE_VERTEX_JSON, "arcs": "ab"},
+                     "arcs must be a JSON list of [tail, head] lists, got 'ab'", id="arcs-string"),
+        pytest.param(["trace"], {**THREE_VERTEX_JSON, "sinks": 1},
+                     "sinks must be a JSON list, got 1", id="sinks-int"),
+        pytest.param(["trace"], {**THREE_VERTEX_JSON, "name": 5},
+                     "name must be a JSON string, got 5", id="name-int"),
+        pytest.param(["gen-instance", "--family", "flow", "--params", '{"instance": 5}'], None,
+                     "greedyaug gen-instance: a flow instance must be a JSON object, got int",
+                     id="int-instance-params"),
         pytest.param(["trace", "--family", "critical", "--params", CRITICAL_1_1_2, "--k", "9"],
                      None, "k=9 outside 0..4", id="k-too-large"),
         pytest.param(["trace", "--family", "critical", "--params", CRITICAL_1_1_2, "--k", "x"],

@@ -454,7 +454,7 @@ def test_orbit_scans_visit_one_pair_per_orbit():
     X, the nonempty Ys that ``_orbit_subsets`` lists."""
     def pairs(f, x_sets):
         table = f.scaled_reps()[1]
-        return sum(len(ga.audit._orbit_subsets(f.blocks, x_set, table)) - 1 for x_set, _ in x_sets)
+        return sum(len(ga.audit._orbit_subsets(f.blocks, x_set, table)) - 1 for x_set in x_sets)
 
     critical = ga.make_critical_function(HALF, 1, 6)
     _, separator = ga.make_rank_separator(HALF, 1, 3, 5)
