@@ -22,6 +22,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .core import (
     GroundSetTooLarge,
@@ -70,6 +71,13 @@ def _load_instance(args) -> "flows.FlowInstance | None":
         raise SystemExit(f"--instance {args.instance}: {exc}")
 
 
+def _parse_k(text: str, what: str = "--k") -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _descriptor(args) -> dict:
     return {"family": args.family, **_parse_params(args.params)}
 
@@ -102,7 +110,7 @@ def _csv_text(header, rows) -> str:
 def cmd_trace(args) -> int:
     bundle = _described(args)
     f = bundle.oracle
-    k = f.n if args.k is None else int(args.k)
+    k = f.n if args.k is None else _parse_k(args.k)
     trace = greedy_adaptive(f, k, tie=args.tie)
     _write_text(args, _csv_text(TRACE_HEADER, trace.rows(f.ground)))
     return 0
@@ -228,7 +236,9 @@ def _ratio_rows(entry, params, ks, tie, max_measure):
 
 def cmd_ratio_table(args) -> int:
     params = _parse_params(args.params)
-    ks = [int(part) for part in str(args.k or "").replace(",", " ").split()]
+    ks = [_parse_k(part, "--k entry") for part in str(args.k or "").replace(",", " ").split()]
+    if not ks:
+        raise ParameterError("needs --k, a comma list of k values")
     entry = FAMILIES.get(args.family)
     if entry is None or entry.ratio is None:
         tabulable = ", ".join(repr(tag) for tag, e in FAMILIES.items() if e.ratio is not None)
@@ -325,8 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (KeyError, TypeError, ValueError, exactlp.Unbounded) as exc:

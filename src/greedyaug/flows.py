@@ -19,6 +19,11 @@ internal vertices only lowers flows and leaves every sink's excess as it was.
 The rows are built from the arcs, and a vertex that no arc or sink demand
 touches has none, so isolated vertices cost nothing.
 
+As a selection changes only the objective, every optimal basis of the model
+stays feasible for every selection.  Each instance keeps at most one optimum
+per sink, the latest whose selection held it, and each solve warm-starts from
+the kept optimum whose selection differs from its own in the fewest sinks.
+
 Twin sinks cut the solves.  Two sinks are twins when no arc leaves either and
 their in-arcs agree in tail and in every commodity's capacity, an arc whose
 capacities are all zero counting as absent (the LP and the max-flow routine
@@ -158,8 +163,8 @@ class FlowInstance:
         finite-capacity flow column, then per commodity and non-source vertex v
         that a flow column or a sink demand touches (and no other),
         ``outflow(v) - inflow(v) + d_v <= 0`` (d_v only when v is a sink).
-        ``evaluate_objective`` keeps the last optimal solution over these rows
-        beside them, as ``_lp_start``.
+        ``evaluate_objective`` keeps optimal solutions over these rows beside
+        them, in ``_lp_starts``.
         """
         flow = [
             (i, e) for i, row in enumerate(self.capacities) for e, c in enumerate(row) if c != 0
@@ -177,6 +182,16 @@ class FlowInstance:
                 balance.setdefault((i, t), {})[len(flow) + j] = 1
         rows += (balance[key] for key in sorted(balance))  # commodity, then vertex
         return tuple(rows), tuple(rhs) + (0,) * len(balance), len(flow)
+
+    @cached_property
+    def _lp_starts(self) -> dict:
+        """Sink index -> ``(mask, solution)``, the latest optimum whose selection
+        held that sink, least recently solved first; at most one per sink.
+
+        ``evaluate_objective`` warm-starts from the kept selection nearest its
+        own and files each bounded optimum here under every sink it selects.
+        """
+        return {}
 
     @cached_property
     def twin_sinks(self) -> Blocks:
@@ -263,14 +278,18 @@ def evaluate_objective(inst: FlowInstance, sink_mask: int) -> Fraction:
     """Exact value of selecting the sinks in ``sink_mask`` (bitmask over sink order).
 
     Solves the instance's one ``lp_model`` with objective 1 on the demand
-    columns of the chosen sinks and 0 elsewhere.  Every solve after the first
-    warm-starts from the instance's last optimal basis, which stays primal
-    feasible because a selection changes only the objective; an ``Unbounded``
-    selection leaves that start as it was.  Each value is certified by
-    ``exactlp`` and is the LP's unique optimum, so it does not depend on the
-    order in which masks are evaluated.  ``MAX_LP_COLUMNS`` bounds the column
-    count as (arcs x commodities) + a demand column for every sink, chosen or
-    not.
+    columns of the chosen sinks and 0 elsewhere.  Any optimal basis of the
+    model stays primal feasible for every selection, which changes only the
+    objective, so a solve warm-starts from one kept in ``inst._lp_starts``: the
+    kept selection that differs from ``sink_mask`` in the fewest sinks, the
+    most recent among equals, and a cold start only when none is kept.  The
+    optimum is then kept under each chosen sink; an ``Unbounded`` selection
+    keeps nothing.  Greedy's candidate X + x is one sink away from X' + x,
+    solved a step earlier, where the last solve, X + x_prev, is two away.
+    Each value is certified by ``exactlp`` and is the LP's unique optimum, so
+    it does not depend on the order in which masks are evaluated; only x, y
+    and the pivot count can.  ``MAX_LP_COLUMNS`` bounds the column count as
+    (arcs x commodities) + a demand column for every sink, chosen or not.
     """
     if not 0 <= sink_mask < 1 << len(inst.sinks):
         raise ParameterError("sink mask outside the sink set")
@@ -278,15 +297,21 @@ def evaluate_objective(inst: FlowInstance, sink_mask: int) -> Fraction:
         return Fraction(0)
     _check_lp_size(len(inst.arcs), inst.commodities, len(inst.sinks))
     rows, rhs, first_demand = inst.lp_model
+    kept = inst._lp_starts
+    # latest first, so that min breaks ties in favour of the most recent solve
+    _, start = min(reversed(kept.values()), key=lambda pair: (pair[0] ^ sink_mask).bit_count(),
+                   default=(0, None))
     objective = [0] * first_demand + [sink_mask >> j & 1 for j in range(len(inst.sinks))]
     try:
-        solution = exactlp.maximize(objective, rows, rhs, start=getattr(inst, "_lp_start", None))
+        solution = exactlp.maximize(objective, rows, rhs, start=start)
     except exactlp.Unbounded as exc:
         raise exactlp.Unbounded(
             f"{inst.name}: unbounded objective (every commodity has unlimited capacity "
             f"into some selected sink)"
         ) from exc
-    object.__setattr__(inst, "_lp_start", solution)
+    for j in indices_of(sink_mask):
+        kept.pop(j, None)  # re-inserted last: the dict's order is the order of solves
+        kept[j] = sink_mask, solution
     return solution.value
 
 

@@ -158,11 +158,14 @@ class TestRatioTable:
         with pytest.raises(SystemExit, match="k=1000000000000: the exact closed form"):
             run(["ratio-table", "--family", "critical", "--k", str(10**12)])
 
-    def test_empty_k_list_header_only(self, tmp_path):
+    def test_empty_k_list_is_refused_before_writing(self, tmp_path):
         out = tmp_path / "table.csv"
-        run(["ratio-table", "--family", "critical",
-             "--params", '{"gamma": "1", "alpha": "1"}', "--out", str(out)])
-        assert out.read_text() == ",".join(cli.RATIO_HEADER) + "\n"
+        argv = ["ratio-table", "--family", "critical",
+                "--params", '{"gamma": "1", "alpha": "1"}', "--out", str(out)]
+        for k in ([], ["--k", ""], ["--k", " , "]):
+            with pytest.raises(SystemExit, match="needs --k, a comma list of k values"):
+                run(argv + k)
+            assert not out.exists()
 
 
 def _shifted_witness(side, shift):
@@ -332,9 +335,14 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
         pytest.param(["trace", "--family", "critical", "--params", CRITICAL_1_1_2, "--k", "9"],
                      None, "k=9 outside 0..4", id="k-too-large"),
         pytest.param(["trace", "--family", "critical", "--params", CRITICAL_1_1_2, "--k", "x"],
-                     None, "'x'", id="k-not-int"),
-        pytest.param(["ratio-table", "--family", "critical", "--k", "2,x"], None, "'x'",
+                     None, "greedyaug trace: --k must be an integer, got 'x'", id="k-not-int"),
+        pytest.param(["ratio-table", "--family", "critical", "--k", "2,x"], None,
+                     "greedyaug ratio-table: --k entry must be an integer, got 'x'",
                      id="k-list-not-int"),
+        pytest.param(["ratio-table", "--family", "critical"], None,
+                     "greedyaug ratio-table: needs --k, a comma list of k values", id="no-k"),
+        pytest.param(["ratio-table", "--family", "critical", "--k", ""], None,
+                     "greedyaug ratio-table: needs --k, a comma list of k values", id="empty-k"),
         pytest.param(["ratio-table", "--family", "critical", "--params", '{"alpha": "2"}',
                       "--k", "2"], None, "k must exceed alpha", id="k-not-above-alpha"),
         pytest.param(["ratio-table", "--family", "critical", "--k", "1371"], None,
