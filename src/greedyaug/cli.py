@@ -239,6 +239,9 @@ def cmd_ratio_table(args) -> int:
     ks = [_parse_k(part, "--k entry") for part in str(args.k or "").replace(",", " ").split()]
     if not ks:
         raise ParameterError("needs --k, a comma list of k values")
+    for before, k in zip(ks, ks[1:]):
+        if k <= before:  # "converging" compares each k with the one before it
+            raise ParameterError(f"--k entries must increase: {k} follows {before}")
     entry = FAMILIES.get(args.family)
     if entry is None or entry.ratio is None:
         tabulable = ", ".join(repr(tag) for tag, e in FAMILIES.items() if e.ratio is not None)

@@ -17,7 +17,8 @@ one gcd; other rows are not touched.  The ratio test's scan of column c
 collects the rows it meets, and the pivot eliminates in those, so a pivot
 reads the m rows once.  Between its inputs and its returned
 value a solve is integer-only: it builds one Fraction, the value, and a
-solution's x and y are built from the stored numerators when first read.
+solution's x and y are built from its proved and stored numerators when
+first read.
 
 The pivots follow Bland's rule: the entering column is the first one with a
 negative reduced cost, and the ratio test (b_i/a_i, compared by
@@ -33,9 +34,10 @@ from that basis and pivots on.  The solve shares the start's row dicts
 rather than copying them: a pivot builds a new dict for each row it
 eliminates in (the pivot row keeps its dict, over its new denominator), and
 no solve ever changes a row it did not create, so one solution can seed any
-number of later solves.  A start is a solution that ``maximize`` returned,
-unmodified; anything else either raises or is judged by the certificate
-below.
+number of later solves.  A warm solve that makes no pivot returns its
+start's basis and row dicts unchanged, and shares its start's proved x
+(below).  A start is a solution that ``maximize`` returned, unmodified;
+anything else either raises or is judged by the certificate below.
 
 Certificate: before returning, every solve checks weak duality in integers,
 on the numerators the tableau already holds, against an integer copy of A
@@ -51,6 +53,19 @@ cannot depend on the basis a solve started from; only x, y and the pivot
 count can.  ``Unbounded`` is checked the same way, with a ray d >= 0,
 Ad <= 0, c.d > 0 (x = 0 is feasible as b >= 0).  A failed check raises
 ``CertificateError``: an uncertified result is never returned.
+
+The primal half (x >= 0, Ax <= b) is proved once per basis, not once per
+solve.  A solution keeps its proved x as ints, a read-only (xs, xden), and
+builds ``x`` from them.  A warm solve that makes no pivot ends on its
+start's basis and rows, so its x is the start's x, which the start's solve
+proved against the same program (immutable, and shared along the chain):
+the solve reuses that (xs, xden) rather than proving it again.  It still
+proves the dual half, y >= 0 and A^T y >= c, on its own reduced-cost row,
+and both value equalities, with c.x taken on the inherited ints; x
+feasible, y feasible and c.x = b.y = value are all that weak duality
+needs.  As x is never read again from the row dicts, a start whose rows
+were edited after its solve cannot pass off an unproved x: the solve either
+fails a check or returns the proved x, which attains its value.
 """
 
 from __future__ import annotations
@@ -59,6 +74,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 ZERO = Fraction(0)
@@ -88,10 +104,12 @@ class _Program(NamedTuple):
 class LPSolution:
     """An optimum with its certificate (x, y), and the basis a later solve may start from.
 
-    Frozen: its fields cannot be reassigned.  ``x`` and ``y`` are built from
-    the stored numerators when first read.  A warm-started solution shares
-    rows with its start: each row dict that its pivots did not rebuild is the
-    start's own object, and no solve changes it.
+    Frozen: its fields cannot be reassigned.  ``primal`` is the proved x as
+    (xs, xden), xs a read-only view of its int numerators over xden; ``x``
+    is built from it and ``y`` from the reduced-cost row, each when first
+    read.  A warm-started solution shares rows with its start: each row dict
+    that its pivots did not rebuild is the start's own object, and no solve
+    changes it.  One that made no pivot shares its start's ``primal`` too.
     """
 
     value: Fraction
@@ -101,15 +119,15 @@ class LPSolution:
     denominators: tuple[int, ...]
     reduced: dict  # the reduced-cost row's int nonzeros over reduced_denominator
     reduced_denominator: int
+    primal: tuple  # (xs, xden): the proved x, xs a read-only {column: numerator} over xden
     program: _Program
 
     @cached_property
     def x(self) -> list[Fraction]:
-        n, end = self.program.width, self.program.width + len(self.basis)
-        x = [ZERO] * n
-        for var, row, d in zip(self.basis, self.tableau, self.denominators):
-            if var < n and end in row:
-                x[var] = Fraction(row[end], d)
+        xs, xden = self.primal
+        x = [ZERO] * self.program.width
+        for j, v in xs.items():
+            x[j] = Fraction(v, xden)
         return x
 
     @cached_property
@@ -187,11 +205,14 @@ def maximize(objective, rows, rhs, start=None) -> LPSolution:
         basis[pivot_row] = col
         iterations += 1
 
-    primal = [(var, row[end], d)
-              for var, row, d in zip(basis, tableau, dens) if var < n and end in row]
+    if start is not None and not iterations:
+        primal = start.primal  # the start's own basis and rows, so its x, proved at its solve
+    else:
+        primal = _certify_primal(program, [(var, row[end], d) for var, row, d
+                                           in zip(basis, tableau, dens) if var < n and end in row])
     _certify_optimum(program, cost, cden, primal, z, zden)
     return LPSolution(Fraction(z.get(end, 0), zden), iterations, tuple(basis), tuple(tableau),
-                      tuple(dens), z, zden, program)
+                      tuple(dens), z, zden, primal, program)
 
 
 def _program(rows, rhs, n) -> _Program:
@@ -267,18 +288,35 @@ def _column_products(program, ints):
     return products
 
 
-def _certify_optimum(program, cost, cden, primal, z, zden):
-    """Weak duality in integers: x and y feasible, with c.x = b.y = value.
+def _certify_primal(program, primal):
+    """x >= 0 and Ax <= b in integers; returns the proved x as (xs, xden).
 
-    ``cost`` holds the objective's nonzeros times ``cden``; ``primal`` holds
-    (j, N_i[b], d_i) for each basic column j < n with x_j != 0; ``z`` is the
-    reduced-cost row over ``zden``, so y_i = z[n + i] / zden and the value is
-    z[b] / zden."""
+    ``primal`` holds (j, N_i[b], d_i) for each basic column j < n with
+    x_j != 0.  x = xs / xden, xs a read-only view of its nonzeros, so no
+    edit can reach the proof that later solutions share."""
+    xden = math.lcm(*(d for _, _, d in primal))
+    xs = {j: v * (xden // d) for j, v, d in primal}
+    if not (
+        min(xs.values(), default=0) >= 0
+        # a row that x misses has Ax = 0 <= b, as long as b >= 0
+        and all(ax <= b * xden for ax, b in zip(_column_products(program, xs),
+                                                program.scaled_rhs))
+    ):
+        raise CertificateError("a basic solution failed its feasibility certificate")
+    return MappingProxyType(xs), xden
+
+
+def _certify_optimum(program, cost, cden, primal, z, zden):
+    """Weak duality in integers for a proved-feasible x: y feasible, with
+    c.x = b.y = value.
+
+    ``cost`` holds the objective's nonzeros times ``cden``; ``primal`` is x as
+    ``_certify_primal`` returned it; ``z`` is the reduced-cost row over
+    ``zden``, so y_i = z[n + i] / zden and the value is z[b] / zden."""
     n, m = program.width, len(program.scales)
     scales, rhs = program.scales, program.scaled_rhs
     value = z.get(n + m, 0)
-    xden = math.lcm(*(d for _, _, d in primal))
-    xs = {j: v * (xden // d) for j, v, d in primal}  # x = xs / xden
+    xs, xden = primal
     duals = {j - n: v for j, v in z.items() if n <= j < n + m}  # y = duals / zden
     yden = math.lcm(*(scales[i] for i in duals))
     by = 0  # yden * zden * b.y
@@ -292,10 +330,7 @@ def _certify_optimum(program, cost, cden, primal, z, zden):
     for j, c in cost.items():
         excess[j] -= c * yden * zden
     if not (
-        min(xs.values(), default=0) >= 0
-        # a row that x misses has Ax = 0 <= b, as long as b >= 0
-        and all(ax <= b * xden for ax, b in zip(_column_products(program, xs), rhs))
-        and min(duals.values(), default=0) >= 0
+        min(duals.values(), default=0) >= 0
         and min(excess, default=0) >= 0
         and sum(c * xs[j] for j, c in cost.items() if j in xs) * zden == value * cden * xden
         and by == value * yden

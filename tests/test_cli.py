@@ -343,6 +343,12 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
                      "greedyaug ratio-table: needs --k, a comma list of k values", id="no-k"),
         pytest.param(["ratio-table", "--family", "critical", "--k", ""], None,
                      "greedyaug ratio-table: needs --k, a comma list of k values", id="empty-k"),
+        pytest.param(["ratio-table", "--family", "critical", "--k", "2,2"], None,
+                     "greedyaug ratio-table: --k entries must increase: 2 follows 2",
+                     id="k-repeated"),
+        pytest.param(["ratio-table", "--family", "critical", "--k", "3,2"], None,
+                     "greedyaug ratio-table: --k entries must increase: 2 follows 3",
+                     id="k-descending"),
         pytest.param(["ratio-table", "--family", "critical", "--params", '{"alpha": "2"}',
                       "--k", "2"], None, "k must exceed alpha", id="k-not-above-alpha"),
         pytest.param(["ratio-table", "--family", "critical", "--k", "1371"], None,

@@ -174,7 +174,10 @@ def test_warm_chain_matches_cold_solves(lp, keep_bounding_row, data):
         assert (cold is None) == (warm is None)
         if warm is not None:
             assert warm.value == cold.value
+            assert_certified(objective, rows, rhs, cold)
             assert_certified(objective, rows, rhs, warm)
+            if start is not None and not warm.iterations:  # x inherited, not proved again
+                assert warm.primal is start.primal and warm.x == start.x
             start = warm
             chain.append((warm, snapshot(warm)))
     for solution, before in chain:  # rows are shared along the chain, never changed
@@ -214,6 +217,42 @@ def test_resolving_from_own_optimum_takes_no_pivots():
     warm = exactlp.maximize(objective, rows, rhs, start=cold)
     assert cold.iterations > 0 and warm.iterations == 0
     assert (warm.value, warm.x, warm.y) == (cold.value, cold.x, cold.y)
+
+
+BOXED_ROWS, BOXED_RHS = [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]], [F(2), F(3), F(4)]
+
+
+def test_zero_pivot_solve_reuses_its_starts_proved_x():
+    """A warm solve that makes no pivot ends on its start's basis and rows, so
+    it shares the start's proved x; a solve that pivots proves its own."""
+    rows, rhs = sparse(BOXED_ROWS), BOXED_RHS
+    cold = exactlp.maximize([F(1), F(1)], rows, rhs)
+    same = exactlp.maximize([F(1), F(0)], rows, rhs, start=cold)
+    moved = exactlp.maximize([F(0), F(0)], rows, rhs)  # the all-slack basis, x = 0
+    moved = exactlp.maximize([F(1), F(0)], rows, rhs, start=moved)
+    assert (cold.iterations, same.iterations, moved.iterations) == (2, 0, 1)
+    assert same.primal is cold.primal and same.x == cold.x == [F(2), F(2)]
+    assert moved.primal is not cold.primal and moved.x == [F(2), F(0)]
+    assert same.value == moved.value == 2
+
+
+def test_edited_start_row_on_a_zero_cost_column_cannot_move_x():
+    """The b entry of x1's row is edited after the solve; x1 has zero cost in
+    the next objective, so neither value equality can see the edit.  The
+    zero-pivot warm solve must raise or return an x that is feasible and
+    attains its value, never the edited x = (2, 102)."""
+    rows, rhs = sparse(BOXED_ROWS), BOXED_RHS
+    sol = exactlp.maximize([F(1), F(1)], rows, rhs)
+    assert sol.x == [F(2), F(2)]
+    row = sol.basis.index(1)
+    sol.tableau[row][2 + len(rows)] += 100 * sol.denominators[row]
+    try:
+        warm = exactlp.maximize([F(1), F(0)], rows, rhs, start=sol)
+    except exactlp.CertificateError:
+        return
+    assert warm.iterations == 0 and warm.value == 2
+    assert warm.x != [F(2), F(102)]
+    assert_certified([F(1), F(0)], BOXED_ROWS, rhs, warm)
 
 
 def test_start_from_other_rows_refused():
@@ -276,7 +315,8 @@ def certify(x, y, value, objective=(F(1), F(1)), rows=((F(1), F(1)), (F(0), F(1)
     zden = math.lcm(value.denominator, *(v.denominator for v in y))
     z = {n + i: int(v * zden) for i, v in enumerate(y) if v}
     z[n + m] = int(value * zden)
-    exactlp._certify_optimum(program, cost, cden, primal, z, zden)
+    proved = exactlp._certify_primal(program, primal)
+    exactlp._certify_optimum(program, cost, cden, proved, z, zden)
 
 
 UNCOSTED = dict(objective=(F(1), F(0)), rows=((F(1), F(-1)), (F(1), F(1))), rhs=(F(1), F(3)))
