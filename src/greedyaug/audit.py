@@ -72,12 +72,12 @@ included.  The budget counts every pair, reduced by orbits or not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
 from .core import (
     ParameterError,
+    Record,
     SetFunctionOracle,
     TiePolicy,
     as_fraction,
@@ -90,8 +90,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A violated instance of an audited inequality; lhs < rhs exactly."""
 
     x_set: int
@@ -100,8 +99,7 @@ class Witness:
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     member: bool
     gamma: Fraction
     alpha: Fraction
@@ -359,8 +357,7 @@ def check_gamma_alpha_augmentable(
     return _augmentability_audit(f, gamma, alpha, scope, tie, existential)
 
 
-@dataclass(frozen=True)
-class RatioResult:
+class RatioResult(Record):
     value: Fraction
     x_set: int
     y_set: int
@@ -410,8 +407,7 @@ def min_alpha_for(
     return _least_alpha(f, gamma, scope, tie, existential)[0]
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(Record):
     k: int
     regime: str
     greedy_value: Fraction

@@ -71,11 +71,12 @@ fails a check or returns the proved x, which attains its value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
+
+from .core import Record
 
 ZERO = Fraction(0)
 
@@ -100,8 +101,7 @@ class _Program(NamedTuple):
     columns: tuple[tuple[tuple[int, int], ...], ...]  # column j's (row i, L_i A_ij) nonzeros
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(Record):
     """An optimum with its certificate (x, y), and the basis a later solve may start from.
 
     Frozen: its fields cannot be reassigned.  ``primal`` is the proved x as

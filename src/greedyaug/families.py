@@ -35,13 +35,13 @@ the rank separator declares A and B, which its independence system certifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .core import (
     GroundSet,
     ParameterError,
+    Record,
     SetFunctionOracle,
     as_fraction,
     iter_submasks,
@@ -52,8 +52,7 @@ from .independence import IndependenceSystem, uniform_matroid, weighted_rank_ora
 from . import flows
 
 
-@dataclass(frozen=True)
-class CriticalParams:
+class CriticalParams(Record):
     """Validated parameters of the ratio-critical objective."""
 
     gamma: Fraction
@@ -335,8 +334,7 @@ def make_modular(weights) -> SetFunctionOracle:
     return SetFunctionOracle(GroundSet(len(ws)), evaluate, name="modular")
 
 
-@dataclass
-class DescribedInstance:
+class DescribedInstance(Record):
     """An oracle built from a JSON descriptor, and its independence system if it has one."""
 
     oracle: SetFunctionOracle
@@ -348,8 +346,7 @@ def describe_flow(inst: flows.FlowInstance) -> DescribedInstance:
     return DescribedInstance(flows.objective_oracle(inst))
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """What a family tag means: a descriptor builder and, for flow families,
     the FlowInstance builder.  Tabulable families add their ratio table:
     (gamma, alpha) read from parameters, the closed-form ratio and ground-set

@@ -52,7 +52,6 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -61,6 +60,7 @@ from .core import (
     Blocks,
     GroundSet,
     ParameterError,
+    Record,
     SetFunctionOracle,
     as_fraction,
     format_rational,
@@ -106,8 +106,7 @@ def _check_capacity(value):
     return value
 
 
-@dataclass(frozen=True)
-class FlowInstance:
+class FlowInstance(Record):
     """Digraph + source + ordered sinks + per-commodity arc capacities.
 
     ``sinks`` fixes the element order of the selection ground set, so tie

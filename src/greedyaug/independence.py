@@ -20,7 +20,6 @@ masks only.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -28,6 +27,7 @@ from .core import (
     Blocks,
     GroundSet,
     ParameterError,
+    Record,
     SetFunctionOracle,
     TiePolicy,
     as_fraction,
@@ -204,8 +204,7 @@ def weighted_rank_oracle(sys: IndependenceSystem) -> SetFunctionOracle:
     return oracle
 
 
-@dataclass(frozen=True)
-class RankQuotientResult:
+class RankQuotientResult(Record):
     quotient: Fraction
     witness_set: int
     small_basis: int
@@ -293,8 +292,7 @@ def _largest_basis(sys: IndependenceSystem, x_set: int, size: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class ExchangeViolation:
+class ExchangeViolation(Record):
     step: int
     element: int
     extends_independent: bool
@@ -302,8 +300,7 @@ class ExchangeViolation:
     weight: Fraction
 
 
-@dataclass(frozen=True)
-class ExchangeReport:
+class ExchangeReport(Record):
     """Per-step equivalence check for weighted rank functions along the greedy chain.
 
     For every prefix S of the greedy chain up to saturation and every

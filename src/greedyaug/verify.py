@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from .core import (
+    Record,
     SetFunctionOracle,
     approximation_ratio,
     greedy_adaptive,
@@ -56,8 +56,7 @@ from . import flows
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     check_id: str
     ok: bool
     detail: str = ""

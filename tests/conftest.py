@@ -7,6 +7,11 @@ import greedyaug as ga
 from greedyaug import verify
 
 
+def replace(record, **changes):
+    """A new record of ``record``'s type: its fields, with ``changes``, through the constructor."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
+
+
 def build_monotone_oracle(n, increments, name="table"):
     """Monotone oracle from nonnegative per-subset join increments.
 

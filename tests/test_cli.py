@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -8,6 +7,7 @@ import pytest
 import greedyaug as ga
 from greedyaug import cli, exactlp, verify
 from greedyaug.families import FAMILIES, CriticalParams, _oracle_from_parts
+from conftest import replace
 
 F = Fraction
 
@@ -153,7 +153,7 @@ class TestRatioTable:
         def never(*args):
             raise AssertionError("closed form computed")
 
-        critical = dataclasses.replace(FAMILIES["critical"], ratio=never)
+        critical = replace(FAMILIES["critical"], ratio=never)
         monkeypatch.setitem(FAMILIES, "critical", critical)
         with pytest.raises(SystemExit, match="k=1000000000000: the exact closed form"):
             run(["ratio-table", "--family", "critical", "--k", str(10**12)])
@@ -172,10 +172,8 @@ def _shifted_witness(side, shift):
     def corrupt(audit):
         def corrupted(f, alpha):
             report = audit(f, alpha)
-            witness = dataclasses.replace(
-                report.witness, **{side: getattr(report.witness, side) + shift}
-            )
-            return dataclasses.replace(report, witness=witness)
+            witness = replace(report.witness, **{side: getattr(report.witness, side) + shift})
+            return replace(report, witness=witness)
 
         return corrupted
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -8,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greedyaug import exactlp
+from conftest import replace
 
 F = Fraction
 
@@ -186,7 +186,7 @@ def test_warm_chain_matches_cold_solves(lp, keep_bounding_row, data):
 
 def snapshot(solution):
     """Copies of the stored rows, and x and y built afresh from them."""
-    fresh = dataclasses.replace(solution)  # x and y are built when first read
+    fresh = replace(solution)  # x and y are built when first read
     return ([dict(row) for row in solution.tableau], solution.denominators, fresh.x, fresh.y)
 
 

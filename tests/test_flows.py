@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 import greedyaug as ga
 from greedyaug import exactlp
+from conftest import replace
 from test_exactlp import sparse
 
 F = Fraction
@@ -353,7 +353,7 @@ def test_masks_in_any_order_equal_cold_solves_on_a_fresh_instance(inst, data):
     starting from the kept optimum nearest it: each value equals the solve of that
     mask on a fresh copy of the instance, which keeps nothing and so starts cold."""
     for mask in data.draw(st.permutations(range(1, 1 << len(inst.sinks)))):
-        fresh = dataclasses.replace(inst)
+        fresh = replace(inst)
         assert outcome(ga.evaluate_objective, inst, mask) == outcome(
             ga.evaluate_objective, fresh, mask)
 
@@ -526,7 +526,7 @@ def test_reduced_oracle_matches_direct_solves(inst, data):
     """Every mask, in shuffled order, read through the orbit-reduced oracle equals a
     direct solve on a fresh copy of the instance, an unbounded outcome included."""
     oracle = ga.objective_oracle(inst)
-    direct = dataclasses.replace(inst)
+    direct = replace(inst)
     for mask in data.draw(st.permutations(range(1 << len(inst.sinks)))):
         assert outcome(oracle.value, mask) == outcome(ga.evaluate_objective, direct, mask)
 

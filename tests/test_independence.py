@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greedyaug as ga
+from conftest import replace
 
 F = Fraction
 
