@@ -51,11 +51,13 @@ X is given and only its stabiliser moves Y.  For each X, both the scan and
 the weak ratio read Y from one enumeration, ``_orbit_subsets``: the least Y
 of each orbit of X's stabiliser in ascending mask order, with its best gain
 and its sum of gains at X, and each is one loop over that list against a
-running bar.  The members of a block outside X share one gain, read at the
-lowest of them, so with X a least mask every X + Y read is a least mask too:
-a strong scan reads the table at its keys alone, and no blocked audit builds
-a list of all 2**n masks.  With no blocks every mask is least, the table is
-a list indexed by mask, and the scan is the plain walk over all pairs.
+running bar.  The members of a block outside X share one gain, read once per
+block.  Each Y also carries least(X + Y), so both kernels read f(X) at
+least(X) and f(X + Y) at that mask, in either scope and whether or not the
+greedy chain leaves the least masks: every read is a key of the oracle's
+table (``core.Blocks.table``), and no blocked audit builds a list of all
+2**n masks.  With no blocks every mask is least, the table is a list indexed
+by mask, and the scan is the plain walk over all pairs.
 
 ``checked_pairs`` is not the number of pairs a scan visits: it counts the
 pairs (X, Y), Y not inside X, that a scan over every in-scope mask would
@@ -146,7 +148,7 @@ def _parameters(gamma, alpha=None) -> tuple[Fraction, Fraction]:
 
 def _audit_table(f: SetFunctionOracle, scope: str, tie: TiePolicy):
     """(in-scope X sets, f's value table scaled to ints by the LCM of its
-    denominators and readable at every mask, that LCM), once the sweep's
+    denominators and keyed by the least masks, that LCM), once the sweep's
     steps are within budget.
 
     In strong scope the X sets are the least masks of their orbits
@@ -200,10 +202,11 @@ def _checked_pairs(n, scope, x_set, y_set):
     return checked + y_set - (1 << (x_set & top - 1).bit_count()) + 1
 
 
-def _orbit_subsets(blocks, x_set, table) -> list[tuple[int, int, int]]:
+def _orbit_subsets(blocks, x_set, table) -> list[tuple[int, int, int, int]]:
     """The subsets Y of X's complement, one per orbit of X's stabiliser, in
-    ascending mask order with {} first, each as (Y, best gain, sum of gains)
-    at X on the scaled ``table``.
+    ascending mask order with {} first, each as (Y, least(X + Y), best gain,
+    sum of gains) at X on the scaled ``table``; the first is
+    (0, least(X), 0, 0).
 
     The stabiliser permutes the members of each block outside X among
     themselves, so the least Y of an orbit keeps its free elements and, per
@@ -213,24 +216,36 @@ def _orbit_subsets(blocks, x_set, table) -> list[tuple[int, int, int]]:
     and a block member only the Ys that hold its block's previous member
     outside X, all of them at or after the index where that member's
     extensions start.  Every new Y holds e and so exceeds every earlier Y,
-    which keeps the list in mask order."""
-    fx, subsets, rest = table[x_set], [(0, 0, 0)], (1 << blocks.n) - 1 ^ x_set
-    last = {}  # block -> (its latest member outside X, where the Ys holding it start, gain)
+    which keeps the list in mask order.
+
+    Per block, least(X) holds as many of the lowest members as X holds, so
+    when Y holds the lowest j members of a block outside X, least(X + Y)
+    holds the block's part of least(X) and its lowest j members outside
+    least(X).  So each new least mask is one OR: by e when e is free, and by
+    the j-th member of e's block outside least(X) when e is the j-th outside
+    X.  A block's gain is read at least(X) plus its lowest member outside
+    least(X), so the table is read at least masks only."""
+    least, free = blocks.least(x_set), blocks.free
+    fx, subsets, rest = table[least], [(0, least, 0, 0)], (1 << blocks.n) - 1 ^ x_set
+    last = {}  # block -> (latest member outside X, where the Ys holding it start, gain, spare)
     while rest:
         bit = rest & -rest
         rest ^= bit
-        if blocks.free & bit:
-            g, prev, start = table[x_set | bit] - fx, 0, 0
+        if free & bit:
+            twin, prev, g = bit, 0, table[least | bit] - fx
         else:
             block = blocks.block_of[bit.bit_length() - 1]
-            prev, start, g = last.get(block) or (0, 0, table[x_set | bit] - fx)
-            last[block] = bit, len(subsets), g
+            prev, start, g, spare = last.get(block) or (0, 0, None, block & ~least)
+            twin = spare & -spare  # spare: its members outside least(X) and not yet added
+            g = table[least | twin] - fx if g is None else g
+            last[block] = bit, len(subsets), g, spare ^ twin
         if prev:
-            subsets += [(y_set | bit, best if best > g else g, total + g)
-                        for y_set, best, total in islice(subsets, start, None) if y_set & prev]
+            subsets += [(y_set | bit, z_set | twin, best if best > g else g, total + g)
+                        for y_set, z_set, best, total in islice(subsets, start, None)
+                        if y_set & prev]
         else:
-            subsets += [(y_set | bit, best if best > g else g, total + g)
-                        for y_set, best, total in subsets]
+            subsets += [(y_set | bit, z_set | twin, best if best > g else g, total + g)
+                        for y_set, z_set, best, total in subsets]
     return subsets
 
 
@@ -302,21 +317,23 @@ def _scan(blocks, x_sets, table, scale, gamma):
 
     It runs on the int table of ``_audit_table``: with gamma = p/q and the
     running least alpha a/b, the pair needs more when
-    b*(p*T - q*|Y|*G) > a*q*F, for the scaled values T = f(X+Y), F = f(X) and
-    best gain G.  Y = {} needs only alpha = gamma, so it never passes.
+    b*(p*T - q*|Y|*G) > a*q*F, for the scaled values T = f(X+Y) and F = f(X),
+    read at the least masks that ``_orbit_subsets`` carries, and best gain G.
+    Y = {} needs only alpha = gamma, so it never passes.
     """
     p, q = gamma.numerator, gamma.denominator
     a, b = p, q  # the least alpha so far, a/b
     for x_set in x_sets:
-        fx = table[x_set]
+        subsets = _orbit_subsets(blocks, x_set, table)
+        fx = table[subsets[0][1]]
         pb, qb, bar = p * b, q * b, a * q * fx
-        for y_set, g, _ in _orbit_subsets(blocks, x_set, table):
-            if pb * table[x_set | y_set] - qb * g * y_set.bit_count() <= bar:
+        for y_set, z_set, g, _ in subsets:
+            if pb * table[z_set] - qb * g * y_set.bit_count() <= bar:
                 continue
             if fx == 0:
                 yield math.inf, x_set, y_set, Fraction(g, scale)
                 return
-            a, b = p * table[x_set | y_set] - q * g * y_set.bit_count(), q * fx
+            a, b = p * table[z_set] - q * g * y_set.bit_count(), q * fx
             pb, qb, bar = p * b, q * b, a * q * fx
             yield Fraction(a, b), x_set, y_set, Fraction(g, scale)
     yield Fraction(a, b), x_set, None, None
@@ -373,16 +390,18 @@ def weak_submodularity_ratio(f: SetFunctionOracle, tie: TiePolicy = "low") -> Ra
     reaches the minimum (X = Y = {} when it is 1).  Pairs with zero joint gain
     count as 1 when the singleton sum is zero too and are excluded (treated as
     +inf) otherwise.  On the int table of ``_audit_table`` (its scale cancels)
-    sum/joint < num/den is decided as sum*den < num*joint.  Y runs over
-    ``_orbit_subsets``, one subset per orbit of X's stabiliser in mask order,
-    against a running bar that only falls (see the module docstring).
+    sum/joint < num/den is decided as sum*den < num*joint, with f(X) and
+    f(X + Y) read at their least masks.  Y runs over ``_orbit_subsets``, one
+    subset per orbit of X's stabiliser in mask order, against a running bar
+    that only falls (see the module docstring).
     """
     x_sets, table, _ = _audit_table(f, "weak", tie)
     num, den, x_best, y_best = 1, 1, 0, 0
     for x_set in x_sets:
-        fx = table[x_set]
-        for y_set, _, total in _orbit_subsets(f.blocks, x_set, table):
-            joint = table[x_set | y_set] - fx
+        subsets = _orbit_subsets(f.blocks, x_set, table)
+        fx = table[subsets[0][1]]
+        for y_set, z_set, _, total in subsets:
+            joint = table[z_set] - fx
             if total * den < num * joint:  # never at joint 0: 0/0 is 1, positive/0 +inf
                 num, den, x_best, y_best = total, joint, x_set, y_set
     s = len(x_sets) - 1  # the saturation point: 2**(n - j) - 1 nonempty Ys at prefix j <= s

@@ -235,6 +235,8 @@ def _ratio_rows(entry, params, ks, tie, max_measure):
 
 
 def cmd_ratio_table(args) -> int:
+    if args.gnuplot and not args.out:
+        raise ParameterError("--gnuplot writes its script beside --out and needs it")
     params = _parse_params(args.params)
     ks = [_parse_k(part, "--k entry") for part in str(args.k or "").replace(",", " ").split()]
     if not ks:
@@ -249,7 +251,7 @@ def cmd_ratio_table(args) -> int:
     max_measure = entry.measure_limit if args.max_measure is None else args.max_measure
     rows = _ratio_rows(entry, params, ks, args.tie, max_measure)
     _write_text(args, _csv_text(RATIO_HEADER, rows))
-    if args.gnuplot and args.out:
+    if args.gnuplot:
         script = (
             f'set datafile separator ","\n'
             f'set key autotitle columnhead\n'
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_table, k=True)
     p_table.add_argument("--tie", **tie)
     p_table.add_argument("--max-measure", type=int, help="largest ground size to measure exactly")
-    p_table.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
+    p_table.add_argument("--gnuplot", action="store_true", help="with --out, also write OUT.gp")
     p_table.set_defaults(fn=cmd_ratio_table)
 
     p_verify = sub.add_parser(

@@ -28,8 +28,9 @@ That least mask is the orbit's smallest, and its sorted index tuple is the
 orbit's lexicographically smallest too: it takes each member from no higher
 an index than any other mask of the orbit.  The oracle hands its evaluator
 least masks only, memoizes one value per orbit, and keeps f at the least
-masks, the orbit representatives, as ints in one table keyed by them that
-reads any other mask at its least mask (``scaled_reps``, ``Blocks.table``).
+masks, the orbit representatives, as ints in one table keyed by them alone
+(``scaled_reps``, ``Blocks.table``): every reader of the table reads it at
+least masks, and any other mask is a ``KeyError``.
 Both optimum sweeps read the representatives alone: every value is its
 representative's, and the representative wins every tie its orbit could, so
 the profile is the one of the sweep over all 2**n masks.  Blocks come from a
@@ -230,9 +231,8 @@ class Blocks(tuple):
     otherwise.  ``least`` maps a mask to the least mask of its orbit under
     permutations inside each block, ``representatives`` lists those least
     masks in ascending order (built once and kept), ``table`` keys values
-    by them and reads every other mask at its least mask, ``free`` is the
-    mask of the elements in no block, and ``block_of`` maps each member of a
-    block to that block's mask.
+    by them and by nothing else, ``free`` is the mask of the elements in no
+    block, and ``block_of`` maps each member of a block to that block's mask.
 
     Each block keeps its mask and its members followed by n, so the lowest c
     members are ``block & (1 << ends[c]) - 1``: memory linear in the block.
@@ -305,28 +305,11 @@ class Blocks(tuple):
         return self._reps
 
     def table(self, values):
-        """``values`` at the ``representatives()``, readable at every mask:
-        ``values`` itself when there is no block (every mask is least, so the
-        index is the mask), else an ``OrbitTable`` keyed by the least masks."""
-        return OrbitTable(zip(self.representatives(), values), self.least) if self else values
-
-
-class OrbitTable(dict):
-    """Values keyed by the least masks of their orbits (``Blocks.table``).
-    Any other mask reads the value at its least mask; a least mask that is
-    not a key, such as a mask outside the ground set, is a ``KeyError``."""
-
-    __slots__ = ("least",)
-
-    def __init__(self, items, least):
-        super().__init__(items)
-        self.least = least
-
-    def __missing__(self, mask):
-        least = self.least(mask)
-        if least == mask:
-            raise KeyError(mask)
-        return self[least]
+        """``values`` at the ``representatives()``: ``values`` itself when
+        there is no block (every mask is least, so the index is the mask),
+        else a dict keyed by the least masks.  Only least masks are read: any
+        other mask is a ``KeyError``, as is a mask outside the ground set."""
+        return dict(zip(self.representatives(), values)) if self else values
 
 
 def iter_submasks(mask: int):
@@ -365,7 +348,7 @@ class SetFunctionOracle:
     for the same subset return the identical Fraction.
 
     ``scaled_reps()`` holds f at the orbit representatives as ints over one
-    scale, the lcm of their denominators, in one table that reads every mask
+    scale, the lcm of their denominators, in one table keyed by them
     (``Blocks.table``), built on first use and kept for the optimum sweep
     and the audits.
     ``first_decrease()`` decides monotonicity once on that table and keeps
@@ -415,15 +398,12 @@ class SetFunctionOracle:
 
     __call__ = value
 
-    def table(self) -> list[Fraction]:
-        """All 2**n values, indexed by mask, read through the memo."""
-        return [self.value(mask) for mask in range(1 << self.n)]
-
     def scaled_reps(self) -> tuple[Sequence[int], Sequence[int], int]:
         """(representatives, table, scale): the least masks in ascending
-        order, ``table[mask]`` = f(mask) * scale as an int at every mask
-        (``Blocks.table``), and scale, the lcm of the denominators of the
-        values at the representatives; built once and kept."""
+        order, ``table[mask]`` = f(mask) * scale as an int at each of them
+        (``Blocks.table``: a list indexed by mask without blocks, else a dict
+        that holds no other mask), and scale, the lcm of the denominators of
+        the values at the representatives; built once and kept."""
         if self._reps_scaled is None:
             reps = self.blocks.representatives()
             values = [self.value(mask) for mask in reps]
@@ -450,7 +430,8 @@ def _first_decrease(table, n: int, blocks) -> tuple[int, int] | None:
     each X is probed with its free elements and the lowest member of each
     block outside it, a member e being that for the X whose part of its
     block is the members below e.  Every mask probed is least too.  Only a
-    refusal scans every mask, to name the least e and then the least X."""
+    refusal scans every mask, each read at its least mask, to name the least
+    e and then the least X."""
     reps = blocks.representatives()
     for e in range(n):
         bit = 1 << e
@@ -458,14 +439,15 @@ def _first_decrease(table, n: int, blocks) -> tuple[int, int] | None:
         below = block & bit - 1
         lower = (x for x in reps if x & block == below and table[x | bit] < table[x])
         if next(lower, None) is not None:
-            return _lowering(table, n)
+            return _lowering(table, n, blocks.least)
     return None
 
 
-def _lowering(table, n: int) -> tuple[int, int]:
-    """The least e, then the least X without e, with f(X + e) < f(X)."""
+def _lowering(table, n: int, least) -> tuple[int, int]:
+    """The least e, then the least X without e, with f(X + e) < f(X), each
+    mask read at its least mask."""
     return next((x, e) for e in range(n) for x in range(1 << n)
-                if not x >> e & 1 and table[x | 1 << e] < table[x])
+                if not x >> e & 1 and table[least(x | 1 << e)] < table[least(x)])
 
 
 def tie_preference(tie: TiePolicy, n: int) -> list[int]:

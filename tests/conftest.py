@@ -12,6 +12,11 @@ def replace(record, **changes):
     return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
 
 
+def every_value(f):
+    """f at every mask, indexed by mask, read through the oracle's memo."""
+    return [f.value(mask) for mask in range(1 << f.n)]
+
+
 def build_monotone_oracle(n, increments, name="table"):
     """Monotone oracle from nonnegative per-subset join increments.
 

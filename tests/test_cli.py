@@ -339,6 +339,9 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
                      id="k-list-not-int"),
         pytest.param(["ratio-table", "--family", "critical"], None,
                      "greedyaug ratio-table: needs --k, a comma list of k values", id="no-k"),
+        pytest.param(["ratio-table", "--family", "critical", "--k", "2", "--gnuplot"], None,
+                     "greedyaug ratio-table: --gnuplot writes its script beside --out and needs it",
+                     id="gnuplot-without-out"),
         pytest.param(["ratio-table", "--family", "critical", "--k", ""], None,
                      "greedyaug ratio-table: needs --k, a comma list of k values", id="empty-k"),
         pytest.param(["ratio-table", "--family", "critical", "--k", "2,2"], None,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import greedyaug as ga
 from greedyaug.families import CriticalParams, _closed_eval
+from conftest import every_value
 from test_flows import plain_oracle
 
 F = Fraction
@@ -50,7 +51,7 @@ def assert_same_results(reduced, plain, gamma, alphas, strong=True, upper_bound=
     """Tables, optima (bound-pruned too), ratios, audits and least alphas agree.
 
     ``upper_bound`` defaults to f(full), which bounds every value of a monotone f."""
-    assert reduced.table() == plain.table()
+    assert every_value(reduced) == every_value(plain)
     profile = ga.optimum_profile(plain)
     assert ga.optimum_profile(reduced) == profile
     if upper_bound is None:
@@ -181,7 +182,7 @@ def test_rank_recursion_reads_only_least_masks():
     system, f = ga.make_rank_separator(HALF, 1, 3, 5)
     seen, independent = [], system.independent
     system.independent = spied(independent, seen)  # validate has run: only f reads it now
-    f.table()
+    every_value(f)
     assert seen and all(system.blocks.least(mask) == mask for mask in seen)
     assert len(set(seen)) == len(system.blocks.representatives())
 
@@ -228,47 +229,23 @@ def test_orbit_bookkeeping_is_built_once_per_oracle(monkeypatch):
     assert len(reps) >= 4 and all(r is reps[0] for r in reps)
     assert len(builds) >= 2 and all(build is builds[0] for build in builds)
     assert builds[0][0] is reps[0] and len(tables) == 1 and builds[0][1] is tables[0]
-    assert isinstance(tables[0], ga.core.OrbitTable) and len(tables[0]) == len(reps[0]) < 1 << f.n
+    assert type(tables[0]) is dict and list(tables[0]) == reps[0] and len(reps[0]) < 1 << f.n
 
 
-def test_strong_scan_reads_least_masks_only(monkeypatch):
-    """With X a least mask, every X + Y a strong audit reads is one too, so
-    the value table never reads a mask through its least mask."""
-    missed, missing = [], ga.core.OrbitTable.__missing__
-
-    def counted(self, mask):
-        missed.append(mask)
-        return missing(self, mask)
-
-    monkeypatch.setattr(ga.core.OrbitTable, "__missing__", counted)
+def test_blocked_value_table_is_a_dict_of_the_least_masks():
+    """A blocked oracle's value table is a plain dict keyed by exactly its
+    representatives, so any read at another mask would raise ``KeyError``.
+    The strong bundle, which reads least X only, and the weak bundle under
+    tie "high", whose greedy chain leaves the least masks, read it at keys
+    alone and equal the bundles of the unblocked twin."""
     f = ga.make_critical_function(HALF, 1, 5)
-    assert audits(f, HALF, [HALF, 1, 2], "strong", "low") == audits(
-        plain_critical(HALF, 1, 5), HALF, [HALF, 1, 2], "strong", "low")
-    assert missed == []
-    table = f.scaled_reps()[1]
-    assert table[1 << 9] == table[1 << 6] and missed == [1 << 9]  # b_5 and b_2
-
-
-def test_orbit_table_refuses_a_least_mask_it_does_not_hold(monkeypatch):
-    """A mask outside the ground set is a ``KeyError``: at once when it is
-    its own least mask, and after one read at its least mask otherwise."""
-    missed, missing = [], ga.core.OrbitTable.__missing__
-
-    def counted(self, mask):
-        missed.append(mask)
-        return missing(self, mask)
-
-    monkeypatch.setattr(ga.core.OrbitTable, "__missing__", counted)
-    table = ga.Blocks([(0, 1)], 3).table([10, 11, 12, 13, 14, 15])
-    assert [table[mask] for mask in range(8)] == [10, 11, 11, 12, 13, 14, 14, 15]
-    missed.clear()
-    with pytest.raises(KeyError):
-        table[0b1000]
-    assert missed == [0b1000]
-    missed.clear()
-    with pytest.raises(KeyError):
-        table[0b1010]
-    assert missed == [0b1010, 0b1001]
+    reps, table, _ = f.scaled_reps()
+    assert type(table) is dict and list(table) == reps and len(reps) < 1 << f.n
+    chain = ga.greedy_adaptive(f, f.n, "high").chain
+    assert any(f.blocks.least(x_set) != x_set for x_set in chain)
+    for scope, tie in [("strong", "low"), ("weak", "high")]:
+        assert audits(f, HALF, [HALF, 1, 2], scope, tie) == audits(
+            plain_critical(HALF, 1, 5), HALF, [HALF, 1, 2], scope, tie)
 
 
 def test_blocked_weak_audit_allocates_no_table_of_every_mask():
@@ -321,7 +298,7 @@ class TestBadDeclarations:
     def test_certified_blocks_pass(self):
         system = ga.IndependenceSystem(ga.GroundSet(3), lambda m: m.bit_count() <= 1, [1, 2, 2],
                                        blocks=[(1, 2)])
-        assert ga.weighted_rank_oracle(system).table() == [0, 1, 2, 2, 2, 2, 2, 2]
+        assert every_value(ga.weighted_rank_oracle(system)) == [0, 1, 2, 2, 2, 2, 2, 2]
 
     @pytest.mark.parametrize("blocks, message", [
         ([(0, 1), (1, 2)], r"block \(1, 2\) overlaps an earlier block"),
@@ -434,7 +411,8 @@ def blocks_and_masks(draw):
 def test_least_masks_are_each_blocks_lowest_members(drawn):
     """``least`` keeps, in each block, as many members as the mask holds, at
     the block's lowest indices; ``representatives`` lists the same least
-    masks, and a table of them reads least(mask) at every mask."""
+    masks, and a table over them is the values list itself without blocks,
+    else a plain dict keyed by them alone."""
     blocks, masks = drawn
     for mask in masks:
         expected = mask
@@ -445,8 +423,13 @@ def test_least_masks_are_each_blocks_lowest_members(drawn):
     least = [blocks.least(mask) for mask in range(1 << blocks.n)]
     reps = blocks.representatives()
     assert list(reps) == sorted(set(least))
-    table = blocks.table(list(reps))
-    assert [table[mask] for mask in range(1 << blocks.n)] == least
+    values = [-mask for mask in reps]
+    table = blocks.table(values)
+    assert [table[mask] for mask in least] == [-mask for mask in least]
+    if blocks:
+        assert type(table) is dict and list(table) == reps
+    else:
+        assert table is values
 
 
 def test_orbit_scans_visit_one_pair_per_orbit():
@@ -467,9 +450,10 @@ def test_orbit_scans_visit_one_pair_per_orbit():
 @st.composite
 def blocks_tables_and_sets(draw):
     """Random blocks, a monotone int table that respects them, and any X,
-    least mask of its orbit or not.  The table reads each mask at its least
-    mask, as every caller's f does: the enumeration reads one gain per block.
-    That keeps it monotone, since adding an element to a mask adds one to its
+    least mask of its orbit or not.  The table is ``blocks.table`` of the
+    values at the least masks, as every caller's is, so a read at any other
+    mask is a ``KeyError``.  Each mask takes its least mask's value, which
+    keeps it monotone, since adding an element to a mask adds one to its
     least mask."""
     blocks, _ = draw(blocks_and_masks())
     n = blocks.n
@@ -478,7 +462,7 @@ def blocks_tables_and_sets(draw):
     for mask in range(1 << n):
         below = [table[mask ^ 1 << e] for e in range(n) if mask >> e & 1]
         table.append(max(below, default=0) + increments[mask])
-    table = [table[blocks.least(mask)] for mask in range(1 << n)]
+    table = blocks.table([table[mask] for mask in blocks.representatives()])
     return blocks, table, draw(st.integers(0, (1 << n) - 1))
 
 
@@ -488,12 +472,13 @@ def test_orbit_subsets_are_the_least_set_of_each_stabiliser_orbit(drawn):
     """The Ys ascend strictly, and they are the least Y of each orbit of X's
     stabiliser, one each: orbits grouped by swapping two members of a block
     that both lie outside X, which generate every permutation inside the
-    blocks that fixes X, read on the subsets of X's complement.  Each Y's
-    best gain and sum of gains equal the ones read off the table."""
+    blocks that fixes X, read on the subsets of X's complement.  Each Y
+    carries least(X + Y), and its best gain and sum of gains equal the ones
+    read off the table at least masks, for X as drawn and for least(X)."""
     blocks, table, x_set = drawn
     comp = (1 << blocks.n) - 1 ^ x_set
     subsets = ga.audit._orbit_subsets(blocks, x_set, table)
-    masks = [y_set for y_set, _, _ in subsets]
+    masks = [y_set for y_set, _, _, _ in subsets]
     assert masks[0] == 0 and all(a < b for a, b in zip(masks, masks[1:]))
 
     orbit = {}  # subset of comp -> a root of its orbit (union-find)
@@ -512,10 +497,12 @@ def test_orbit_subsets_are_the_least_set_of_each_stabiliser_orbit(drawn):
         least[root(y_set)] = min(least.get(root(y_set), y_set), y_set)
     assert masks == sorted(least.values())
 
-    fx = table[x_set]
-    for y_set, best, total in subsets:
-        gains = [table[x_set | 1 << e] - fx for e in ga.indices_of(y_set)]
-        assert (best, total) == (max(gains, default=0), sum(gains))
+    for x_set in (x_set, blocks.least(x_set)):  # as drawn, then its orbit's least mask
+        fx = table[blocks.least(x_set)]
+        for y_set, z_set, best, total in ga.audit._orbit_subsets(blocks, x_set, table):
+            assert z_set == blocks.least(x_set | y_set)
+            gains = [table[blocks.least(x_set | 1 << e)] - fx for e in ga.indices_of(y_set)]
+            assert (best, total) == (max(gains, default=0), sum(gains))
 
 
 def test_oracles_keep_the_blocks_they_are_given(monkeypatch):
