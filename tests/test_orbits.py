@@ -235,17 +235,40 @@ def test_orbit_bookkeeping_is_built_once_per_oracle(monkeypatch):
 def test_blocked_value_table_is_a_dict_of_the_least_masks():
     """A blocked oracle's value table is a plain dict keyed by exactly its
     representatives, so any read at another mask would raise ``KeyError``.
-    The strong bundle, which reads least X only, and the weak bundle under
-    tie "high", whose greedy chain leaves the least masks, read it at keys
-    alone and equal the bundles of the unblocked twin."""
+    The weak bundle under tie "high", whose greedy chain leaves the least
+    masks, reads it at keys alone and equals the bundle of the unblocked
+    twin."""
     f = ga.make_critical_function(HALF, 1, 5)
     reps, table, _ = f.scaled_reps()
     assert type(table) is dict and list(table) == reps and len(reps) < 1 << f.n
     chain = ga.greedy_adaptive(f, f.n, "high").chain
     assert any(f.blocks.least(x_set) != x_set for x_set in chain)
-    for scope, tie in [("strong", "low"), ("weak", "high")]:
-        assert audits(f, HALF, [HALF, 1, 2], scope, tie) == audits(
-            plain_critical(HALF, 1, 5), HALF, [HALF, 1, 2], scope, tie)
+    assert audits(f, HALF, [HALF, 1, 2], "weak", "high") == audits(
+        plain_critical(HALF, 1, 5), HALF, [HALF, 1, 2], "weak", "high")
+
+
+def test_strong_scan_reads_least_masks_only():
+    """With X a least mask, every X + Y a strong audit reads is one too: the
+    value table is a dict of the least masks alone, so any other read would
+    be a ``KeyError``, and the bundle equals the unblocked twin's."""
+    f = ga.make_critical_function(HALF, 1, 5)
+    assert audits(f, HALF, [HALF, 1, 2], "strong", "low") == audits(
+        plain_critical(HALF, 1, 5), HALF, [HALF, 1, 2], "strong", "low")
+    table = f.scaled_reps()[1]
+    assert 1 << 6 in table and 1 << 9 not in table  # b_2 is least, b_5 is not
+    with pytest.raises(KeyError):
+        table[1 << 9]
+
+
+def test_orbit_table_refuses_a_least_mask_it_does_not_hold():
+    """A value table holds the least masks alone: a mask outside the ground
+    set is a ``KeyError``, and so is a mask of the ground set that is not
+    the least mask of its orbit."""
+    table = ga.Blocks([(0, 1)], 3).table([10, 11, 12, 13, 14, 15])
+    assert [table[mask] for mask in (0, 1, 3, 4, 5, 7)] == [10, 11, 12, 13, 14, 15]
+    for mask in (0b1000, 0b1001, 0b0010, 0b0110):
+        with pytest.raises(KeyError):
+            table[mask]
 
 
 def test_blocked_weak_audit_allocates_no_table_of_every_mask():
