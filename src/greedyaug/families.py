@@ -110,18 +110,23 @@ def _closed_eval(params: CriticalParams, gains: list[Fraction]):
     # greedy trace at large k builds nothing of size 2**k.
     #
     # The three candidates are compared in ints over one unit, 1/(d*q*s) with
-    # s and d the lcms of the gain and block-value denominators and alpha =
-    # p/q.  An A-sum A/s is A*d*q units, a block value B/d is B*q*s units, and
-    # the pair B/d * (1 - alpha*A/s) + A/s is B*q*s - B*p*A + A*d*q units.
-    # Each A-part's sum is computed once, and each key builds one Fraction.
+    # s the lcm of the gain denominators, alpha = p/q, gamma = u/v and
+    # d = u*k*(k-1).  A block of c elements is worth curve(c)/k, which is
+    #
+    #     ((v - u)*c**2 + (k*u - v)*c) / (u*k*(k-1)),
+    #
+    # so its value in units of 1/d is the int c*((v - u)*c + k*u - v); at
+    # c >= 1 that is at least u*(k-1) > 0.  An A-sum A/s is A*d*q units, a
+    # block value B/d is B*q*s units, and the pair B/d * (1 - alpha*A/s) + A/s
+    # is B*q*s - B*p*A + A*d*q units.  Each A-part's sum is computed once, and
+    # each key builds one Fraction.
     k, p, q = params.k, params.alpha.numerator, params.alpha.denominator
+    u, v = params.gamma.numerator, params.gamma.denominator
     a_mask = (1 << k) - 1
-    block_values = [params.curve(c) / k for c in range(k + 1)]
     s = math.lcm(*(g.denominator for g in gains))
-    d = math.lcm(*(b.denominator for b in block_values))
-    dq = d * q
+    dq = u * k * (k - 1) * q
     gain_units = [g.numerator * (s // g.denominator) for g in gains]
-    blocks = [b.numerator * (d // b.denominator) for b in block_values]
+    blocks = [c * ((v - u) * c + k * u - v) for c in range(k + 1)]
     a_sums: dict[int, int] = {}
     memo: dict[int, Fraction] = {}
 

@@ -211,6 +211,34 @@ class FlowInstance(Record):
                 classes[tuple(sorted(into[t]))].append(j)
         return Blocks((c for c in classes.values() if len(c) > 1), len(self.sinks))
 
+    @cached_property
+    def _flow_networks(self) -> tuple:
+        """Per commodity ``(scale, super_cap, residual)``, the int network that
+        ``max_flow`` copies on every call.
+
+        Infinite capacities are replaced by one plus the total finite
+        capacity over all commodities and sinks, and the commodity's
+        capacities, that stand-in included, are scaled by the lcm of their
+        denominators.  ``residual`` maps each vertex an arc with positive
+        capacity touches to its residual arcs, inserted in arc order;
+        ``super_cap`` is the capacity of each arc into the super sink.
+        """
+        finite_total = sum((c for row in self.capacities for c in row if c != INF), Fraction(0))
+        big = 1 + len(self.sinks) * finite_total
+        networks = []
+        for caps in self.capacities:
+            caps = [big if c == INF else c for c in caps]
+            scale = math.lcm(*(c.denominator for c in caps))
+            caps = [c.numerator * (scale // c.denominator) for c in caps]
+            residual: dict[int, dict[int, int]] = {}
+            for (u, v), cap in zip(self.arcs, caps):
+                if cap:
+                    out = residual.setdefault(u, {})
+                    out[v] = out.get(v, 0) + cap
+                    residual.setdefault(v, {}).setdefault(u, 0)
+            networks.append((scale, scale + sum(caps), residual))
+        return tuple(networks)
+
     def vertex_label(self, v: int) -> str:
         return self.labels[v] if self.labels else f"v{v}"
 
@@ -359,12 +387,11 @@ def max_flow(inst: FlowInstance, commodity: int, sink_mask: int) -> Fraction:
     """Exact max flow from the source to the chosen sinks for one commodity.
 
     Shortest-augmenting-path search on the residual network with a super
-    sink.  Infinite capacities are replaced by one plus the total finite
-    capacity over all commodities and sinks, which no single commodity's
-    useful flow can exceed in a well-posed instance.  The search runs on
-    ints: every capacity of the commodity, that stand-in included, is scaled
-    by the lcm of their denominators, and only the returned total is a
-    Fraction, ``Fraction(total, scale)``.
+    sink.  The search runs on ints, on a copy of the commodity's network that
+    the instance keeps (``FlowInstance._flow_networks``), whose stand-in for
+    an infinite capacity no single commodity's useful flow can exceed in a
+    well-posed instance.  Only the returned total is a Fraction,
+    ``Fraction(total, scale)``.
     """
     if not 0 <= commodity < inst.commodities:
         raise ParameterError(f"commodity {commodity} outside 0..{inst.commodities - 1}")
@@ -373,31 +400,15 @@ def max_flow(inst: FlowInstance, commodity: int, sink_mask: int) -> Fraction:
     if not sink_mask:
         return Fraction(0)
 
-    caps = inst.capacities[commodity]
-    if INF in caps:
-        finite_total = Fraction(0)
-        for row in inst.capacities:
-            for c in row:
-                if c != INF:
-                    finite_total += c
-        big = 1 + len(inst.sinks) * finite_total
-        caps = [big if c == INF else c for c in caps]
-    scale = math.lcm(*(c.denominator for c in caps))
-    caps = [c.numerator * (scale // c.denominator) for c in caps]
-
+    scale, super_cap, network = inst._flow_networks[commodity]
     super_sink = inst.num_vertices
     residual: defaultdict[int, dict[int, int]] = defaultdict(dict)  # only the touched vertices
-
-    def add(u, v, cap):
-        residual[u][v] = residual[u].get(v, 0) + cap
-        residual[v].setdefault(u, 0)
-
-    for (u, v), cap in zip(inst.arcs, caps):
-        if cap:
-            add(u, v, cap)
-    super_cap = scale + sum(caps)
+    for u, out in network.items():
+        residual[u] = out.copy()
     for i in indices_of(sink_mask):
-        add(inst.sinks[i], super_sink, super_cap)
+        t = inst.sinks[i]
+        residual[t][super_sink] = super_cap
+        residual[super_sink][t] = 0
 
     total = 0
     while True:

@@ -15,12 +15,20 @@ A false declaration is a ``MalformedSystem``, never a silent fallback.  The
 weighted rank function of a certified system is then unchanged by those
 permutations too, so its oracle carries the same blocks and evaluates least
 masks only.
+
+The weights are read once, when the system is built, as ints over one scale
+(the lcm of their denominators), so ``weight`` sums ints and builds one
+``Fraction``.  A system keeps one rank oracle, built by the first call of
+``weighted_rank_oracle``: every later call returns that same object, so the
+callers that evaluate one system share its memo and its greedy chains.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .core import (
@@ -67,6 +75,8 @@ class IndependenceSystem:
         self.weights = tuple(as_fraction(w) for w in weights)
         if any(w < 0 for w in self.weights):
             raise MalformedSystem("weights must be nonnegative")
+        self._scale = math.lcm(*(w.denominator for w in self.weights))
+        self._units = tuple(w.numerator * (self._scale // w.denominator) for w in self.weights)
         self._predicate = predicate
         self._cache: dict[int, bool] = {0: bool(predicate(0))}
         self._verdict: str | None = None  # validate's finding: "" if well formed
@@ -85,10 +95,13 @@ class IndependenceSystem:
     def weight(self, mask: int) -> Fraction:
         if not 0 <= mask < 1 << self.n:
             raise ParameterError(f"mask {mask:#x} outside ground set of {self.n} elements")
-        total = Fraction(0)
-        for i in indices_of(mask):
-            total += self.weights[i]
-        return total
+        units = self._units
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += units[low.bit_length() - 1]
+            mask ^= low
+        return Fraction(total, self._scale)
 
     def validate(self) -> None:
         """Check the empty set, subset closure and the declared blocks; raise
@@ -131,6 +144,27 @@ class IndependenceSystem:
                             f"{indices_of(mask ^ low)} is not")
                 probe ^= low
         return ""
+
+    @cached_property
+    def _rank_oracle(self) -> SetFunctionOracle:
+        """The one rank oracle of this system; ``weighted_rank_oracle`` checks
+        the budget and the system before it hands it out."""
+
+        def rank(mask: int) -> Fraction:
+            if self.independent(mask):
+                return self.weight(mask)
+            value = Fraction(0)
+            probe = mask
+            while probe:
+                low = probe & -probe
+                sub = oracle.value(mask ^ low)
+                if sub > value:
+                    value = sub
+                probe ^= low
+            return value
+
+        oracle = SetFunctionOracle(self.ground, rank, name=f"rank[{self.name}]", blocks=self.blocks)
+        return oracle
 
 
 def free_system(weights: Sequence, name: str = "free") -> IndependenceSystem:
@@ -182,26 +216,16 @@ def weighted_rank_oracle(sys: IndependenceSystem) -> SetFunctionOracle:
 
     It carries the system's certified blocks, and the rank recursion reads
     each single-element removal through the oracle, so every mask it needs
-    is evaluated once, as its least mask.
+    is evaluated once, as its least mask.  An independent X is valued by
+    ``sys.weight``, a sum of the int weights.
+
+    The system keeps one oracle: every call checks the budget and validates
+    the system, then returns the same object, built on the first call, with
+    its memo and greedy chains.
     """
     require_budget(sys.n << sys.n, f"rank oracle over n={sys.n}")  # the cost of validate
     sys.validate()
-
-    def rank(mask: int) -> Fraction:
-        if sys.independent(mask):
-            return sys.weight(mask)
-        value = Fraction(0)
-        probe = mask
-        while probe:
-            low = probe & -probe
-            sub = oracle.value(mask ^ low)
-            if sub > value:
-                value = sub
-            probe ^= low
-        return value
-
-    oracle = SetFunctionOracle(sys.ground, rank, name=f"rank[{sys.name}]", blocks=sys.blocks)
-    return oracle
+    return sys._rank_oracle
 
 
 class RankQuotientResult(Record):
@@ -317,6 +341,11 @@ class ExchangeReport(Record):
 
 
 def check_exchange_equivalences(sys: IndependenceSystem, tie: TiePolicy = "low") -> ExchangeReport:
+    """The ``ExchangeReport`` of the system's greedy chain under ``tie``.
+
+    It reads the system's one rank oracle, so the chain and the values that
+    an earlier caller evaluated on that oracle are not computed again.
+    """
     f = weighted_rank_oracle(sys)
     trace = greedy_adaptive(f, f.n, tie)
     sat = saturation_point(trace)

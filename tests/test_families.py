@@ -3,6 +3,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import greedyaug as ga
 from greedyaug.families import FAMILIES, CriticalParams
@@ -17,6 +19,17 @@ GRID = [
     for k in range(2, 7)
     if k > alpha
 ]
+
+
+@st.composite
+def critical_parameters(draw):
+    """(gamma, alpha, k): gamma = u/v <= 1, u > 1 allowed, k = 2..4 and gamma <= alpha < k."""
+    v = draw(st.integers(1, 7))
+    gamma = F(draw(st.integers(1, v)), v)
+    k = draw(st.integers(2, 4))
+    q = draw(st.integers(1, 3))
+    alpha = F(draw(st.integers(math.ceil(gamma * q), k * q - 1)), q)
+    return gamma, alpha, k
 
 
 class TestCriticalParams:
@@ -83,6 +96,20 @@ class TestCriticalFunction:
             exhaustive = ga.make_critical_function(gamma, alpha, k, method="exhaustive")
             for mask in range(1 << (2 * k)):
                 assert closed.value(mask) == exhaustive.value(mask), (gamma, alpha, k, mask)
+
+    @settings(max_examples=20, deadline=None)
+    @given(critical_parameters())
+    @example((F(1, 4), F(1), 3))  # k*gamma < 1, so k*u - v is negative
+    @example((F(2, 7), F(2, 7), 3))  # u > 1 and k*gamma < 1
+    @example((F(1, 5), F(3, 2), 4))
+    @example((F(2, 3), F(1), 2))
+    @example((F(3, 4), F(5, 2), 4))
+    def test_closed_matches_exhaustive_on_every_mask(self, params):
+        gamma, alpha, k = params
+        closed = ga.make_critical_function(gamma, alpha, k)
+        exhaustive = ga.make_critical_function(gamma, alpha, k, method="exhaustive")
+        for mask in range(1 << (2 * k)):
+            assert closed.value(mask) == exhaustive.value(mask), (gamma, alpha, k, mask)
 
     def test_trace_at_large_k_builds_nothing_of_size_two_to_the_k(self):
         tracemalloc.start()

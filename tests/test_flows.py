@@ -573,6 +573,29 @@ def test_max_flow_on_mixed_denominators_and_an_unlimited_arc():
             assert flow == cold_objective(inst, mask) == ga.evaluate_objective(inst, mask)
 
 
+def test_unlimited_arcs_stand_in_for_the_finite_total_of_every_commodity():
+    """An inf arc carries 1 + (sinks) * (the finite capacity of all commodities),
+    here 1 + 2 * 17/6 = 20/3, in each commodity; every value holds on a second
+    pass through the same instance."""
+    arcs = ((0, 1), (0, 2), (1, 2))
+    inst = ga.FlowInstance(3, arcs, 0, (1, 2), ((INF, F(1, 2), F(1, 3)), (F(2), INF, F(0))))
+    expected = {(0, 0b01): F(20, 3), (0, 0b10): F(5, 6), (0, 0b11): F(43, 6),
+                (1, 0b01): F(2), (1, 0b10): F(20, 3), (1, 0b11): F(26, 3)}
+    for _ in range(2):
+        assert {key: ga.max_flow(inst, *key) for key in expected} == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow_instances(capacities=(F(0), F(1, 2), F(5, 3), INF)), st.data())
+def test_repeated_max_flows_equal_a_fresh_instance(inst, data):
+    """Every (commodity, mask) twice, in a random order, through one instance that
+    keeps its int networks: each value equals max_flow on a fresh copy, which
+    builds them anew."""
+    pairs = [(c, mask) for c in range(inst.commodities) for mask in range(1 << len(inst.sinks))]
+    for c, mask in data.draw(st.permutations(pairs * 2)):
+        assert ga.max_flow(inst, c, mask) == ga.max_flow(replace(inst), c, mask)
+
+
 def test_every_model_row_has_a_nonzero():
     """Balance rows exist only where a flow column or a sink demand touches the
     vertex; zero_ratio's commodities each leave some vertices untouched."""

@@ -81,11 +81,11 @@ class TestSystems:
         bad = ga.IndependenceSystem(ga.GroundSet(3), lambda mask: mask != 0b10, [1, 1, 1])
         messages = []
         for call in (bad.validate, bad.validate, lambda: ga.weighted_rank_oracle(bad),
-                     lambda: ga.rank_quotient(bad)):
+                     lambda: ga.weighted_rank_oracle(bad), lambda: ga.rank_quotient(bad)):
             with pytest.raises(ga.MalformedSystem) as refusal:
                 call()
             messages.append(str(refusal.value))
-        assert messages == ["system: (0, 1) independent but (1,) is not"] * 4
+        assert messages == ["system: (0, 1) independent but (1,) is not"] * 5
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ga.MalformedSystem):
@@ -101,6 +101,72 @@ class TestSystems:
     def test_rank_oracle_guard(self):
         with pytest.raises(ga.GroundSetTooLarge):
             ga.weighted_rank_oracle(ga.free_system([1] * 20))
+
+
+def reference_rank(system, mask):
+    """The largest weight over the independent submasks of mask, summed in Fractions."""
+    return max(sum((system.weights[i] for i in ga.indices_of(sub)), F(0))
+               for sub in ga.core.iter_submasks(mask) if system.independent(sub))
+
+
+# zero weights and mixed denominators, so the int weights share a scale of up to 30
+mixed_weights = st.builds(F, st.integers(0, 6), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def downward_closed_systems(draw):
+    n = draw(st.integers(1, 6))
+    generators = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=4))
+    weights = draw(st.lists(mixed_weights, min_size=n, max_size=n))
+    return ga.downward_closure_system(n, generators, weights, name="drawn")
+
+
+@st.composite
+def blocked_uniform_matroids(draw):
+    """Uniform matroids over a few weight values, so the equal-weight classes are blocks."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.sampled_from([F(0), F(1, 2), F(1), F(5, 3)]),
+                            min_size=n, max_size=n))
+    return ga.uniform_matroid(n, draw(st.integers(0, n)), weights)
+
+
+class TestRankOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(downward_closed_systems(), blocked_uniform_matroids()))
+    def test_rank_equals_the_brute_force_reference_on_every_mask(self, system):
+        f = ga.weighted_rank_oracle(system)
+        for mask in range(1 << system.n):
+            assert f.value(mask) == reference_rank(system, mask), (system.name, mask)
+
+    def test_one_oracle_per_system_checked_on_every_call(self, monkeypatch):
+        budgets, validations = [], []
+        require_budget, validate = ga.independence.require_budget, ga.IndependenceSystem.validate
+        monkeypatch.setattr(ga.independence, "require_budget",
+                            lambda *args: budgets.append(args) or require_budget(*args))
+        monkeypatch.setattr(ga.IndependenceSystem, "validate",
+                            lambda self: validations.append(self) or validate(self))
+        system, twin = (ga.uniform_matroid(4, 2, [3, 1, 2, 2]) for _ in range(2))
+        f = ga.weighted_rank_oracle(system)
+        assert ga.weighted_rank_oracle(system) is f
+        assert ga.weighted_rank_oracle(twin) is not f
+        assert len(budgets) == 3 and validations == [system, system, twin]
+
+    @pytest.mark.parametrize("tie", ["low", "high"])
+    def test_exchange_check_reuses_the_system_oracle(self, tie):
+        """After a full greedy chain on the system's oracle, the exchange check
+        reads only values that chain has evaluated: neither the oracle's evaluator
+        nor a second oracle's weighs a mask."""
+        rng = random.Random(11)
+        systems = [ga.random_downward_closed_system(6, rng) for _ in range(4)]
+        systems += [ga.make_rank_separator(F(1, 2), 1, 1, 2)[0], ga.uniform_matroid(5, 2)]
+        for system in systems:
+            f = ga.weighted_rank_oracle(system)
+            ga.greedy_adaptive(f, f.n, tie)
+            evaluate, weigh, calls = f._fn, system.weight, []
+            f._fn = lambda mask: calls.append(mask) or evaluate(mask)
+            system.weight = lambda mask: calls.append(mask) or weigh(mask)
+            report = ga.check_exchange_equivalences(system, tie)
+            assert report.ok and calls == [], system.name
 
 
 def reference_bases_of(system, mask):
