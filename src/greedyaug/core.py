@@ -38,8 +38,11 @@ proof about the family or from a check against its data, never from the
 caller's say-so.  The monotonicity check (``first_decrease``) probes each
 least mask X with its free elements and the lowest member of each block
 outside it, since (X, e) and its image under a permutation inside the blocks
-compare the same two values, and the audits visit one pair per orbit too
-(see ``audit``).  No blocked sweep builds a list of all 2**n masks.
+compare the same two values, and the same probes name a refusal: the least e
+is a free element or the lowest member of its block, and the least X is read
+off the least masks that e lowers f on (``_first_decrease``).
+The audits visit one pair per orbit too (see ``audit``).  No blocked sweep
+builds a list of all 2**n masks, and no audit reads past the least masks.
 """
 
 from __future__ import annotations
@@ -424,30 +427,39 @@ class SetFunctionOracle:
 
 
 def _first_decrease(table, n: int, blocks) -> tuple[int, int] | None:
-    """Monotonicity is proved on the least masks X alone: a permutation
-    inside the blocks maps (X, e) to (least(X), its image of e) with the same
-    two values, and the members of a block outside X add the same value.  So
-    each X is probed with its free elements and the lowest member of each
-    block outside it, a member e being that for the X whose part of its
-    block is the members below e.  Every mask probed is least too.  Only a
-    refusal scans every mask, each read at its least mask, to name the least
-    e and then the least X."""
+    """The least e, then the least X without e, with f(X + e) < f(X), or None
+    when f is monotone, read from ``table`` at the representatives r alone.
+
+    A free e is fixed by every permutation inside the blocks, so the X that
+    e lowers f on form whole orbits, and the least of them is the least r
+    without e with table[r + e] < table[r].  For e in a block b with members
+    m_0 < ... < m_{s-1}, and X without e holding c < s of them, least(X + e)
+    is least(X) + m_c: (X, e) lowers f exactly when r = least(X) has
+    table[r + m_c] < table[r], whichever member e is.  So every member of b
+    lowers f somewhere when one does, and the least such e is m_0; a member
+    above it is never probed.  The least mask of r's orbit without m_0 is r
+    when c = 0 and r - m_0 + m_c otherwise, and the least X is the least of
+    these.  With m = m_c, or m = e for a free e, that mask is r ^ e ^ m.
+    The r holding c members of b are those whose part of b is the members
+    below m_c, so each r is probed once per block, at its own c, and once
+    per free element it lacks: the probes that prove f monotone.
+    """
     reps = blocks.representatives()
     for e in range(n):
         bit = 1 << e
         block = blocks.block_of.get(e, bit)
-        below = block & bit - 1
-        lower = (x for x in reps if x & block == below and table[x | bit] < table[x])
-        if next(lower, None) is not None:
-            return _lowering(table, n, blocks.least)
+        if block & bit - 1:
+            continue
+        x, below = 1 << n, 0  # above every mask until a lowering X is met
+        for i in indices_of(block):
+            m = 1 << i
+            for r in reps:
+                if r & block == below and table[r | m] < table[r]:
+                    x = min(x, r ^ bit ^ m)
+            below |= m
+        if x < 1 << n:
+            return x, e
     return None
-
-
-def _lowering(table, n: int, least) -> tuple[int, int]:
-    """The least e, then the least X without e, with f(X + e) < f(X), each
-    mask read at its least mask."""
-    return next((x, e) for e in range(n) for x in range(1 << n)
-                if not x >> e & 1 and table[least(x | 1 << e)] < table[least(x)])
 
 
 def tie_preference(tie: TiePolicy, n: int) -> list[int]:

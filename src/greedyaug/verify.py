@@ -62,7 +62,7 @@ class CheckResult(Record):
     detail: str = ""
 
 
-def critical_pick_order_check(oracle: SetFunctionOracle | None = None) -> CheckResult:
+def critical_pick_order_case(oracle: SetFunctionOracle | None = None) -> str:
     """Greedy on critical(1, 1, 3) must take the A block in index order with
     the geometric gains, then the B block in index order.  Accepts a
     replacement oracle so a corrupted gain table can be shown to fail."""
@@ -70,17 +70,12 @@ def critical_pick_order_check(oracle: SetFunctionOracle | None = None) -> CheckR
     f = oracle if oracle is not None else make_critical_function(1, 1, k)
     trace = greedy_adaptive(f, 2 * k, tie="low")
     expected_gains = CriticalParams(Fraction(1), Fraction(1), k).step_gains()
-    detail = ""
     for i, pick in enumerate(trace.picks):
         if pick != i:
-            detail = f"step {i + 1}: picked {f.ground.label(pick)}, expected {f.ground.label(i)}"
-        elif i < k and trace.gains[i] != expected_gains[i]:
-            detail = (
-                f"step {i + 1}: gain {trace.gains[i]} differs from geometric {expected_gains[i]}"
-            )
-        if detail:
-            break
-    return CheckResult("critical-pick-order", not detail, detail)
+            return f"step {i + 1}: picked {f.ground.label(pick)}, expected {f.ground.label(i)}"
+        if i < k and trace.gains[i] != expected_gains[i]:
+            return f"step {i + 1}: gain {trace.gains[i]} differs from geometric {expected_gains[i]}"
+    return ""
 
 
 def critical_ratio_case(gamma, alpha, k: int) -> str:
@@ -332,7 +327,7 @@ def _check(check_id: str, case: Callable[..., str], cases: Callable[[], Iterable
 CHECKS: list[tuple[str, Callable[[], CheckResult]]] = [
     _check("critical-ratio-tightness", critical_ratio_case,
            lambda: [(1, 1, 3), (HALF, 1, 3), (1, 2, 3), (HALF, HALF, 2)]),
-    ("critical-pick-order", critical_pick_order_check),
+    _check("critical-pick-order", critical_pick_order_case, lambda: [()]),
     _check("critical-weak-membership", critical_weak_case,
            lambda: [(1, 1, 3), (HALF, 1, 4), (Fraction(1, 4), 2, 3)]),
     _check("critical-strong-separation", critical_strong_case,

@@ -255,9 +255,8 @@ class TestVerify:
         gains = params.step_gains()
         gains[1] *= 2  # fault injection: second gain doubled
         corrupted = _oracle_from_parts(params, gains)
-        result = verify.critical_pick_order_check(oracle=corrupted)
-        assert not result.ok
-        assert result.detail.startswith("step ")  # names the first divergent step
+        detail = verify.critical_pick_order_case(oracle=corrupted)
+        assert detail.startswith("step ")  # names the first divergent step
 
     @pytest.mark.parametrize("case, args, name, corrupt, fragment", FAULTS)
     def test_fault_surfaces_as_detail(self, monkeypatch, case, args, name, corrupt, fragment):

@@ -11,7 +11,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import greedyaug as ga
@@ -417,6 +417,55 @@ def test_audits_on_symmetric_tables_match_unreduced(table, gamma):
         plain = ga.SetFunctionOracle(ga.GroundSet(n), values.__getitem__)
         assert (audits(reduced, gamma, alphas, scope, tie)
                 == audits(plain, gamma, alphas, scope, tie))
+
+
+def first_lowering(f):
+    """The least e, then the least X without e, with f(X + e) < f(X), by
+    reading f at every mask; None when there is none."""
+    return next(((x, e) for e in range(f.n) for x in range(1 << f.n)
+                 if not x >> e & 1 and f.value(x | 1 << e) < f.value(x)), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_tables(), st.data())
+@pytest.mark.parametrize("dip", ["none", "count", "free", "anywhere"])
+def test_first_decrease_is_the_least_lowering_pair(dip, table, data):
+    """``first_decrease`` read at the least masks equals a scan of every mask,
+    and its plain twin's.  Over a monotone table g that reads a mask through
+    its free part and its block counts, the table dips by more than any rise
+    of g: ``count`` when a block's count goes from c >= 1 to c + 1, so the
+    least X skips the block's lowest member; ``free`` when a new top element,
+    free and above every block, joins a mask holding c of a block; ``none``
+    keeps g; ``anywhere`` raises a drawn set of orbits, so it dips wherever an
+    element leads out of that set."""
+    n, blocks, values = table
+    top = 1 + max(values)
+    expected = None
+    if dip == "free":  # a new element n, free and above every block, that g ignores
+        values, n = values + values, n + 1
+    if dip in ("count", "free"):
+        assume(blocks or dip == "free")
+        block = data.draw(st.sampled_from(blocks or [()]))
+        held = [(mask & ga.mask_of(block)).bit_count() for mask in range(1 << n)]
+        if dip == "count":
+            c = data.draw(st.integers(1, len(block) - 1))
+            values = [v + top * (held[mask] <= c) for mask, v in enumerate(values)]
+            expected = ga.mask_of(block[1:c + 1]), block[0]
+        else:
+            c = data.draw(st.integers(0, len(block)))
+            values = [v + top * (not mask >> n - 1 & 1 and held[mask] >= c)
+                      for mask, v in enumerate(values)]
+            expected = ga.mask_of(block[:c]), n - 1
+    elif dip == "anywhere":
+        drawn = data.draw(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n))
+        least = ga.Blocks(blocks, n).least
+        values = [v + top * (drawn[least(mask)] == 3) for mask, v in enumerate(values)]
+    reduced = ga.SetFunctionOracle(ga.GroundSet(n), values.__getitem__, blocks=blocks)
+    plain = ga.SetFunctionOracle(ga.GroundSet(n), values.__getitem__)
+    brute = first_lowering(plain)
+    assert reduced.first_decrease() == brute == plain.first_decrease()
+    if dip != "anywhere":
+        assert brute == expected
 
 
 @st.composite
