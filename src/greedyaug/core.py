@@ -31,9 +31,12 @@ least masks only, memoizes one value per orbit, and keeps f at the least
 masks, the orbit representatives, as ints in one table keyed by them alone
 (``scaled_reps``, ``Blocks.table``): every reader of the table reads it at
 least masks, and any other mask is a ``KeyError``.
-Both optimum sweeps read the representatives alone: every value is its
-representative's, and the representative wins every tie its orbit could, so
-the profile is the one of the sweep over all 2**n masks.  Blocks come from a
+The one optimum sweep (``_optima``) reads the representatives alone: every
+value is its representative's, and the representative wins every tie its
+orbit could, so the profile is the one of the sweep over all 2**n masks.
+Given an upper bound, the sweep skips the representatives whose bound falls
+strictly below the best value so far and refuses a bound below f at any mask
+it reads; the rows are those of the unpruned sweep.  Blocks come from a
 proof about the family or from a check against its data, never from the
 caller's say-so.  The monotonicity check (``first_decrease``) probes each
 least mask X with its free elements and the lowest member of each block
@@ -48,6 +51,7 @@ builds a list of all 2**n masks, and no audit reads past the least masks.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -597,46 +601,65 @@ class OptimumRecord(Record):
     best_value: Fraction
 
 
-def _better(value, mask, best_value, best_mask):
-    # Larger value wins; ties go to the lexicographically smallest index tuple.
-    if best_value is None or value > best_value:
-        return True
-    return value == best_value and indices_of(mask) < indices_of(best_mask)
+def _optima(f: SetFunctionOracle, upper_bound: Callable[[int], Fraction] | None = None):
+    """The one optimum sweep: yields ``OptimumRecord`` k for k = 0..n in turn,
+    walking the orbit representatives (all 2**n subsets when f declares no
+    blocks) one size at a time.  A row is the best subset of size <= k: the
+    larger value wins, a tie goes to the lexicographically smallest index
+    tuple.  The budget counts 2**n steps before anything is read.
 
-
-def optimum_profile(f: SetFunctionOracle) -> list[OptimumRecord]:
-    """Exact optima for every cardinality bound 0..n in one sweep of the orbit
-    representatives (all 2**n subsets when f declares no blocks).
-
-    The budget counts 2**n steps all the same.
+    Without a bound every value comes from ``scaled_reps()``.  With one,
+    ``upper_bound(mask)`` must be at least f(mask), as an exact rational (a
+    float is a ``TypeError``).  The representatives of each size are bounded
+    and read through ``f.value`` in descending order of bound, and the size
+    stops at the first bound strictly below the best value so far, which no
+    later mask of the size can tie: ties are read, so each row, ``best_set``
+    included, is the unpruned one.  A consumer that stops after row k leaves
+    every larger mask unbounded and unread.  Each mask read is checked
+    against its bound, and a bound below f is refused with ``ParameterError``.
     """
     n = f.n
     require_budget(1 << n, f"optimum sweep over n={n}")
-    masks, table, scale = f.scaled_reps()  # ints over one scale compare as values do
-    by_size: list[tuple[int, int] | None] = [None] * (n + 1)
+    bounded = upper_bound is not None
+    if bounded:
+        masks, read, scale = f.blocks.representatives(), f.value, 1
+    else:
+        masks, table, scale = f.scaled_reps()  # ints over one scale compare as values do
+        read = table.__getitem__
+    sizes = [array("Q") for _ in range(n + 1)]  # 8 bytes a mask
     for mask in masks:
-        value, c = table[mask], mask.bit_count()
-        entry = by_size[c]
-        if entry is None or _better(value, mask, entry[0], entry[1]):
-            by_size[c] = (value, mask)
-    best_value, best_mask = by_size[0]
-    profile = [OptimumRecord(0, 0, Fraction(best_value, scale))]
-    for k in range(1, n + 1):
-        v, m = by_size[k]
-        if _better(v, m, best_value, best_mask):
-            best_value, best_mask = v, m
-        profile.append(OptimumRecord(k, best_mask, Fraction(best_value, scale)))
-    return profile
+        sizes[mask.bit_count()].append(mask)
+    best_value = best_mask = None
+    for c, masks in enumerate(sizes):
+        if bounded:
+            bounds = {mask: as_fraction(upper_bound(mask)) for mask in masks}
+            masks = sorted(masks, key=bounds.__getitem__, reverse=True)
+        for mask in masks:
+            if bounded and best_mask is not None and bounds[mask] < best_value:
+                break
+            value = read(mask)
+            if bounded and bounds[mask] < value:
+                raise ParameterError(f"upper bound {format_rational(bounds[mask])} is below "
+                                     f"f = {format_rational(value)} at {indices_of(mask)}")
+            if best_mask is None or value > best_value or (
+                    value == best_value and indices_of(mask) < indices_of(best_mask)):
+                best_value, best_mask = value, mask
+        yield OptimumRecord(c, best_mask, Fraction(best_value, scale))
+
+
+def optimum_profile(f: SetFunctionOracle) -> list[OptimumRecord]:
+    """Exact optima for every cardinality bound 0..n: every row of ``_optima``."""
+    return list(_optima(f))
 
 
 def brute_force_optimum(f: SetFunctionOracle, k: int) -> OptimumRecord:
-    """Exact best subset of cardinality <= k, read off ``optimum_profile``.
+    """Exact best subset of cardinality <= k, row k of ``_optima``.
 
     The sweep evaluates all 2**n subsets whatever k is.
     """
     if not 0 <= k <= f.n:
         raise InvalidCardinality(f"k={k} outside 0..{f.n}")
-    return optimum_profile(f)[k]
+    return next(row for row in _optima(f) if row.k == k)
 
 
 def optimum_value(
@@ -646,30 +669,16 @@ def optimum_value(
 ) -> Fraction:
     """Exact optimum value at cardinality <= k, optionally bound-pruned.
 
-    ``upper_bound(mask)`` must be a provable upper bound on f(mask); subsets
-    whose bound cannot beat the incumbent are skipped without evaluation.
-    Use when single evaluations are expensive (e.g. LP-backed objectives).
-    Without a bound this is ``brute_force_optimum(f, k).best_value``.  The
-    candidates are the orbit representatives of size <= k: only the value is
-    returned, and an orbit's masks share it.  The budget still counts 2**n.
+    ``upper_bound(mask)`` must be a provable upper bound on f(mask); ``_optima``
+    skips the representatives whose bound cannot reach the best value so
+    far, and refuses a bound it finds below f.  Use it when single
+    evaluations are expensive (e.g. LP-backed objectives).  The sweep stops
+    at row k, so no mask larger than k is bounded or evaluated.  Without a
+    bound this is ``brute_force_optimum(f, k).best_value``.
     """
-    if upper_bound is None:
-        return brute_force_optimum(f, k).best_value
-    n = f.n
-    if not 0 <= k <= n:
-        raise InvalidCardinality(f"k={k} outside 0..{n}")
-    require_budget(1 << n, f"optimum sweep over n={n}")
-    candidates = [mask for mask in f.blocks.representatives() if mask.bit_count() <= k]
-    bounds = {mask: upper_bound(mask) for mask in candidates}
-    candidates.sort(key=lambda m: (bounds[m], m), reverse=True)
-    best = None
-    for mask in candidates:
-        if best is not None and bounds[mask] <= best:
-            continue
-        v = f.value(mask)
-        if best is None or v > best:
-            best = v
-    return best
+    if not 0 <= k <= f.n:
+        raise InvalidCardinality(f"k={k} outside 0..{f.n}")
+    return next(row for row in _optima(f, upper_bound) if row.k == k).best_value
 
 
 def approximation_ratio(

@@ -212,6 +212,12 @@ class FlowInstance(Record):
         return Blocks((c for c in classes.values() if len(c) > 1), len(self.sinks))
 
     @cached_property
+    def _objective_oracle(self) -> SetFunctionOracle:
+        """The one objective oracle of this instance (``objective_oracle``)."""
+        return SetFunctionOracle(self.sink_ground(), lambda mask: evaluate_objective(self, mask),
+                                 name=self.name, blocks=self.twin_sinks)
+
+    @cached_property
     def _flow_networks(self) -> tuple:
         """Per commodity ``(scale, super_cap, residual)``, the int network that
         ``max_flow`` copies on every call.
@@ -354,20 +360,25 @@ def objective_oracle(inst: FlowInstance) -> SetFunctionOracle:
     class, an unbounded X included.  So f(X) depends only on how many members
     of each class X holds, and the oracle declares the classes as its
     ``blocks``: only least masks reach ``evaluate_objective``, and the optimum
-    sweeps read one mask per orbit.  The classes are found when the oracle
+    sweep reads one mask per orbit.  The classes are found when the oracle
     is built.
+
+    The instance keeps one oracle: every call returns the same object, built
+    on the first call, so its memo and greedy chains serve every caller,
+    ``excess_upper_bound`` included.
     """
-    return SetFunctionOracle(inst.sink_ground(), lambda mask: evaluate_objective(inst, mask),
-                             name=inst.name, blocks=inst.twin_sinks)
+    return inst._objective_oracle
 
 
 def excess_upper_bound(inst: FlowInstance):
     """Callable mask -> sum of singleton optima, a valid bound on the objective.
 
     Any feasible flow assignment gives each selected sink at most its
-    singleton optimum, so the sum bounds every subset's value.  Useful for
-    pruning brute-force sweeps over expensive LP evaluations.  The singletons
-    are read through ``objective_oracle``, so twin sinks share one LP.
+    singleton optimum, so the sum bounds every subset's value: the bound
+    ``optimum_value`` prunes its sweep with, and refuses should it ever fall
+    below f at a mask it reads.  The singletons are read through the
+    instance's one ``objective_oracle``, so twin sinks share one LP and the
+    sweep finds every singleton in the memo, none solved twice.
     """
     single = objective_oracle(inst).value
     singles = [single(1 << i) for i in range(len(inst.sinks))]

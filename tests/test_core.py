@@ -168,13 +168,21 @@ def _counting_system(n, calls):
     return system
 
 
+BOUNDED = []  # every mask the bounded sweep below asked its upper bound about
+
+
+def _recording_bound(mask):
+    BOUNDED.append(mask)
+    return F(mask.bit_count())
+
+
 # (sweep, its step count at n, the first n whose count exceeds core.MAX_STEPS)
 SWEEPS = [
     pytest.param(ga.optimum_profile, lambda n: 2**n, 25, id="optimum_profile"),
     pytest.param(lambda f: ga.brute_force_optimum(f, 1), lambda n: 2**n, 25,
                  id="brute_force_optimum"),
     pytest.param(lambda f: ga.optimum_value(f, 1), lambda n: 2**n, 25, id="optimum_value"),
-    pytest.param(lambda f: ga.optimum_value(f, 1, upper_bound=lambda m: F(m.bit_count())),
+    pytest.param(lambda f: ga.optimum_value(f, 1, upper_bound=_recording_bound),
                  lambda n: 2**n, 25, id="optimum_value-bounded"),
     pytest.param(ga.approximation_ratio, lambda n: 2**n, 25, id="approximation_ratio"),
     pytest.param(lambda f: ga.certify_greedy_bound(f, 1, 1), lambda n: 2**n, 25,
@@ -207,10 +215,11 @@ SYSTEM_SWEEPS = {ga.weighted_rank_oracle, ga.check_exchange_equivalences, ga.ran
 def test_sweep_refused_past_budget_before_evaluating(sweep, steps, n):
     assert steps(n - 1) <= ga.core.MAX_STEPS < steps(n)
     calls = []
+    BOUNDED.clear()
     build = _counting_system if sweep in SYSTEM_SWEEPS else _counting_oracle
     with pytest.raises(ga.GroundSetTooLarge) as excinfo:
         sweep(build(n, calls))
-    assert calls == []
+    assert calls == [] == BOUNDED
     assert f"n={n}: {steps(n)} steps exceed the budget of {ga.core.MAX_STEPS}" in str(
         excinfo.value
     )
@@ -263,6 +272,60 @@ def test_optimum_value_pruning_agrees(f112):
             assert ga.optimum_value(f, k) == expected
             assert ga.optimum_value(f, k, upper_bound=bound) == expected
             assert sorted(bounded) == [mask for mask in reps if mask.bit_count() <= k]
+
+
+@st.composite
+def bounded_tables(draw):
+    """(n, blocks, values, bounds): a monotone int table over n <= 7 elements,
+    unblocked or with one declared block, and a valid upper bound, f plus a
+    drawn nonnegative slack at each mask.
+
+    A blocked table is built from block counts: each mask is worth the largest
+    value one element below it plus an increment drawn for its least mask, so
+    masks with the same free part and the same count of block members are
+    worth the same, and the declaration is true."""
+    n = draw(st.integers(1, 7))
+    blocked = n > 1 and draw(st.booleans())
+    blocks = [tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=2))))] if blocked else []
+    least = ga.Blocks(blocks, n).least
+    increments = draw(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n))
+    slack = draw(st.lists(st.sampled_from([0, 0, 1, 2, 10]), min_size=1 << n, max_size=1 << n))
+    values = []
+    for mask in range(1 << n):
+        below = [values[mask ^ 1 << e] for e in range(n) if mask >> e & 1]
+        values.append(max(below, default=0) + increments[least(mask)])
+    return n, blocks, values, [v + s for v, s in zip(values, slack)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(bounded_tables())
+def test_bound_pruned_rows_are_the_full_sweeps(table):
+    """Pruning by a valid bound changes no row of the sweep, ``best_set``
+    included, and ``optimum_value`` reads row k of it at every k."""
+    n, blocks, values, bounds = table
+
+    def oracle():
+        return ga.SetFunctionOracle(ga.GroundSet(n), values.__getitem__, blocks=blocks)
+
+    profile = ga.optimum_profile(oracle())
+    assert profile == ga.optimum_profile(ga.SetFunctionOracle(ga.GroundSet(n), values.__getitem__))
+    assert list(ga.core._optima(oracle(), bounds.__getitem__)) == profile
+    for k in range(n + 1):
+        assert ga.optimum_value(oracle(), k, bounds.__getitem__) == profile[k].best_value
+
+
+def test_bound_below_f_is_refused_at_the_mask_it_is_read():
+    f = ga.make_modular([3, 1, 2])
+    with pytest.raises(ga.ParameterError, match=r"upper bound 1 is below f = 3 at \(0,\)"):
+        ga.optimum_value(f, 2, upper_bound=lambda mask: F(1))
+    with pytest.raises(ga.ParameterError, match=r"upper bound 4 is below f = 5 at \(0, 2\)"):
+        ga.optimum_value(f, 2, upper_bound=lambda mask: F(min(4, f.value(mask))))
+    assert ga.optimum_value(f, 2, upper_bound=f.value) == 5
+
+
+def test_float_bound_is_refused():
+    with pytest.raises(TypeError, match="refusing float->Fraction coercion"):
+        ga.optimum_value(ga.make_modular([3, 1, 2]), 2, upper_bound=lambda mask: 5.5)
 
 
 def test_ratio_critical(f112):

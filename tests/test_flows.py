@@ -435,17 +435,20 @@ def test_excess_upper_bound_solves_one_singleton_per_twin_class(monkeypatch, alp
 
 
 @pytest.mark.parametrize("alpha, k, best, counts", [
-    (1, 3, F(81, 8), [5, 24]), (2, 2, F(64), [7, 52]), (2, 3, F(2187, 32), [9, 90]),
+    (1, 3, F(81, 8), [8, 24]), (2, 2, F(64), [19, 69]), (2, 3, F(2187, 32), [35, 152]),
 ])
 def test_bound_pruned_sweep_is_pinned(monkeypatch, alpha, k, best, counts):
     """The staircase optimum at alpha*k, pruned by ``excess_upper_bound`` over the
-    orbit representatives: [solves, pivots] of the bound's singletons and the
-    few selections it cannot rule out."""
+    orbit representatives, one size at a time: [solves, pivots] of the bound's
+    singletons and the selections it cannot rule out.  The bound reads the
+    instance's one oracle, so every selection is solved once: one solve per
+    memo entry but the empty selection's, which needs no LP."""
     solved = count_solves(monkeypatch)
     inst = ga.make_lower_bound_instance(alpha, k)
     f = ga.objective_oracle(inst)
     assert ga.optimum_value(f, alpha * k, upper_bound=ga.excess_upper_bound(inst)) == best
     assert solved == counts
+    assert ga.objective_oracle(inst) is f and solved[0] == len(f._cache) - 1
 
 
 class TestTwinSinks:
