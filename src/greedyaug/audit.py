@@ -59,6 +59,18 @@ table (``core.Blocks.table``), and no blocked audit builds a list of all
 2**n masks.  With no blocks every mask is least, the table is a list indexed
 by mask, and the scan is the plain walk over all pairs.
 
+Pruning by f(N).  Since f is monotone (checked first), f(X + Y) <= f(N) and
+every gain is >= 0, so ``_scan`` rules pairs out against the running least
+alpha a/b before it builds them.  It skips an X with
+gamma*f(N) <= (a/b)*f(X): no Y there can pass.  At any other X it caps the
+enumeration at c, the least int (in the table's scaled units) with
+gamma*f(N) - c <= (a/b)*f(X).  A Y with |Y|*best gain >= c fails the bar,
+and so does every Y' that ``_orbit_subsets`` would build from it, whose best
+gain is no lower and whose size is larger.  The bar only rises, so a cap
+taken at the start of X holds for all of X, and for a scan resumed from
+``f.scans``.  The records are those of the unpruned scan: no pair the cuts
+drop could pass.  ``checked_pairs`` (below) still counts the unpruned pairs.
+
 ``checked_pairs`` is not the number of pairs a scan visits: it counts the
 pairs (X, Y), Y not inside X, that a scan over every in-scope mask would
 check up to the report's last pair, an X skipped for its orbit still
@@ -202,7 +214,7 @@ def _checked_pairs(n, scope, x_set, y_set):
     return checked + y_set - (1 << (x_set & top - 1).bit_count()) + 1
 
 
-def _orbit_subsets(blocks, x_set, table) -> list[tuple[int, int, int, int]]:
+def _orbit_subsets(blocks, x_set, table, cap=math.inf) -> list[tuple[int, int, int, int]]:
     """The subsets Y of X's complement, one per orbit of X's stabiliser, in
     ascending mask order with {} first, each as (Y, least(X + Y), best gain,
     sum of gains) at X on the scaled ``table``; the first is
@@ -224,7 +236,13 @@ def _orbit_subsets(blocks, x_set, table) -> list[tuple[int, int, int, int]]:
     least(X).  So each new least mask is one OR: by e when e is free, and by
     the j-th member of e's block outside least(X) when e is the j-th outside
     X.  A block's gain is read at least(X) plus its lowest member outside
-    least(X), so the table is read at least masks only."""
+    least(X), so the table is read at least masks only.
+
+    With a ``cap`` (``_scan``'s, see "Pruning by f(N)" in the module
+    docstring) a new Y is kept only when |Y| * best gain < cap.  A dropped Y
+    fails the scan's bar, and so does each Y' the list would have built from
+    it: Y' holds Y, so its best gain is no lower and it is larger.  Without a
+    cap every Y is kept."""
     least, free = blocks.least(x_set), blocks.free
     fx, subsets, rest = table[least], [(0, least, 0, 0)], (1 << blocks.n) - 1 ^ x_set
     last = {}  # block -> (latest member outside X, where the Ys holding it start, gain, spare)
@@ -240,12 +258,14 @@ def _orbit_subsets(blocks, x_set, table) -> list[tuple[int, int, int, int]]:
             g = table[least | twin] - fx if g is None else g
             last[block] = bit, len(subsets), g, spare ^ twin
         if prev:
-            subsets += [(y_set | bit, z_set | twin, best if best > g else g, total + g)
+            subsets += [(y_set | bit, z_set | twin, most, total + g)
                         for y_set, z_set, best, total in islice(subsets, start, None)
-                        if y_set & prev]
+                        if y_set & prev
+                        and (most := best if best > g else g) * (y_set.bit_count() + 1) < cap]
         else:
-            subsets += [(y_set | bit, z_set | twin, best if best > g else g, total + g)
-                        for y_set, z_set, best, total in subsets]
+            subsets += [(y_set | bit, z_set | twin, most, total + g)
+                        for y_set, z_set, best, total in subsets
+                        if (most := best if best > g else g) * (y_set.bit_count() + 1) < cap]
     return subsets
 
 
@@ -320,14 +340,24 @@ def _scan(blocks, x_sets, table, scale, gamma):
     b*(p*T - q*|Y|*G) > a*q*F, for the scaled values T = f(X+Y) and F = f(X),
     read at the least masks that ``_orbit_subsets`` carries, and best gain G.
     Y = {} needs only alpha = gamma, so it never passes.
+
+    With top = f(N) scaled, T <= top, so no pair at X passes when
+    p*b*top <= a*q*F, and X is skipped.  Else a Y with q*b*G*|Y| >= p*b*top -
+    a*q*F fails, and so does every Y' that ``_orbit_subsets`` would build
+    from it, since G' >= G and |Y'| > |Y|: the least int G*|Y| that fails is
+    its cap.  The cap is taken at the start of X and a record only raises the
+    bar, so it holds to the end of X, across a suspended and resumed scan.
     """
     p, q = gamma.numerator, gamma.denominator
     a, b = p, q  # the least alpha so far, a/b
+    top = table[(1 << blocks.n) - 1]
     for x_set in x_sets:
-        subsets = _orbit_subsets(blocks, x_set, table)
-        fx = table[subsets[0][1]]
+        fx = table[blocks.least(x_set)]
         pb, qb, bar = p * b, q * b, a * q * fx
-        for y_set, z_set, g, _ in subsets:
+        if pb * top <= bar:
+            continue
+        cap = (pb * top - bar - 1) // qb + 1  # the least c with qb * c >= pb * top - bar
+        for y_set, z_set, g, _ in _orbit_subsets(blocks, x_set, table, cap):
             if pb * table[z_set] - qb * g * y_set.bit_count() <= bar:
                 continue
             if fx == 0:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import greedyaug as ga
 from greedyaug import audit, cli
-from conftest import build_monotone_oracle
+from conftest import build_monotone_oracle, every_value
 from test_orbits import symmetric_tables
 
 F = Fraction
@@ -614,3 +614,93 @@ def test_checked_pairs_closed_forms_match_direct_counts(drawn):
     # The weak ratio counts the nonempty Y disjoint from each prefix up to saturation s.
     ratio = ga.weak_submodularity_ratio(ga.make_modular([1] * s + [0] * (n - s)))
     assert ratio.checked_pairs == sum((1 << n - j) - 1 for j in range(s + 1))
+
+
+def unpruned_records(f, gamma, scope, tie):
+    """The records of the least-alpha scan by direct loops, with no pruning:
+    every in-scope X and every nonempty Y disjoint from X, in mask order.
+    (alpha, X, Y, best gain) at each rise of the running least alpha >= gamma;
+    (inf, X, Y, best gain) at the first pair with f(X) = 0 that its best gain
+    leaves short, which ends the list; else the final (least, last X, None, None)."""
+    records, least = [], gamma
+    for x_set in scope_sets(f, scope, tie):
+        fx = f.value(x_set)
+        for y_set in range(1, 1 << f.n):
+            if y_set & x_set:
+                continue
+            best = naive_best_gain(f, x_set, y_set, "full")
+            short = gamma * f.value(x_set | y_set) - best * y_set.bit_count()
+            if fx == 0 and short > 0:
+                return records + [(math.inf, x_set, y_set, best)]
+            if fx != 0 and short / fx > least:
+                least = short / fx
+                records.append((least, x_set, y_set, best))
+    return records + [(least, x_set, None, None)]
+
+
+def kept_records(f, gamma, scope, tie):
+    """The records that ``f.scans`` keeps for gamma and scope once audits at
+    rising alphas have resumed the scan and ``min_alpha_for`` has finished it."""
+    for step in (0, HALF, 1, 2):
+        ga.check_gamma_alpha_augmentable(f, gamma, gamma + step, scope, tie)
+    ga.min_alpha_for(f, gamma, scope, tie)
+    return f.scans[(gamma, scope) + ((tie,) if scope == "weak" else ())][0]
+
+
+def oracles_of(n, blocks, values):
+    """(an oracle on ``values`` that declares ``blocks``, its plain twin)."""
+    return (ga.SetFunctionOracle(ga.GroundSet(n), values.__getitem__, blocks=blocks),
+            ga.SetFunctionOracle(ga.GroundSet(n), values.__getitem__))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(small_oracles.map(lambda d: (d[0], [], every_value(build_monotone_oracle(*d)))),
+              symmetric_tables()),
+    st.sampled_from([F(1, 2), F(1)]),
+    st.sampled_from(["weak", "strong"]),
+    st.sampled_from(["low", "high"]),
+)
+def test_pruned_scan_keeps_the_unpruned_records(table, gamma, scope, tie):
+    """The scan skips the Xs and caps the Ys that gamma*f(N) cannot carry past
+    the running least alpha; every record it keeps is the unpruned one."""
+    f, plain = oracles_of(*table)
+    assert kept_records(f, gamma, scope, tie) == unpruned_records(plain, gamma, scope, tie)
+
+
+@pytest.mark.parametrize("blocks", [[], [(0, 1)]])
+def test_zero_value_x_records_inf_when_pruned(blocks):
+    """f is 2 on {0, 1} and 0 elsewhere: at X = {} every gain is 0, so
+    Y = {0, 1} falls short by gamma*f(N) and its record reads inf."""
+    f, plain = oracles_of(2, blocks, [F(0), F(0), F(0), F(2)])
+    records = [(math.inf, 0, 0b11, 0)]
+    assert kept_records(f, HALF, "strong", "low") == records
+    assert unpruned_records(plain, HALF, "strong", "low") == records
+
+
+def test_pruning_cuts_at_their_exact_bounds(monkeypatch):
+    """At gamma = 1 on f = [0, 0, 3, 5, 1, 2, 4, 8] (n = 3, values by mask)
+    the scan passes each X's cap c, the least int with c >= f(N) - alpha*f(X)
+    for the running least alpha, to ``_orbit_subsets``:
+
+    * X = {}, {0}: alpha 1, f(X) 0, so c = 8;
+    * X = {1}: c = 8 - 3 = 5.  Y = {0, 2} holds the rest, its best gain is 2,
+      so 8 - 2*2 is one above the bar f(X) = 3: it is kept at 2*2 < 5 and
+      raises alpha to 4/3;
+    * X = {0, 1}: c = ceil(8 - 4/3*5) = 2;
+    * X = {2}: c = ceil(8 - 4/3*1) = 7, under the cap X = {1} would give; at
+      Y = {0, 1}, best gain 3, 8 - 3*2 = 2 raises alpha to 2;
+    * X = {0, 2}: c = 8 - 2*2 = 4;
+    * X = {1, 2}: f(N) = 8 = 2*f(X), no Y can pass, and X is skipped, as is N."""
+    enumerated, orbit_subsets = [], audit._orbit_subsets
+
+    def spy(blocks, x_set, table, cap=math.inf):
+        enumerated.append((x_set, cap))
+        return orbit_subsets(blocks, x_set, table, cap)
+
+    monkeypatch.setattr(audit, "_orbit_subsets", spy)
+    f, plain = oracles_of(3, [], [F(v) for v in (0, 0, 3, 5, 1, 2, 4, 8)])
+    records = [(F(4, 3), 0b010, 0b101, 2), (2, 0b100, 0b011, 3), (2, 0b111, None, None)]
+    assert kept_records(f, F(1), "strong", "low") == records
+    assert unpruned_records(plain, F(1), "strong", "low") == records
+    assert enumerated == [(0b000, 8), (0b001, 8), (0b010, 5), (0b011, 2), (0b100, 7), (0b101, 4)]
