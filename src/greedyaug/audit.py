@@ -94,11 +94,12 @@ from .core import (
     Record,
     SetFunctionOracle,
     TiePolicy,
+    _greedy_against_optimum,
+    _tie_key,
     as_fraction,
     format_rational,
     greedy_adaptive,
     indices_of,
-    optimum_profile,
     require_budget,
     saturation_point,
 )
@@ -283,8 +284,9 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
     at alpha stops where a scan capped at alpha would.
 
     The scan is kept on the oracle (``f.scans``), keyed by gamma and scope,
-    and in weak scope by the tie policy, which fixes the greedy chain; strong
-    scope does not read it.  A call reads the kept records and resumes the
+    and in weak scope by the tie policy's key (``core._tie_key``, which the
+    caller passes as ``tie``), which fixes the greedy chain; strong scope
+    does not read it.  A call reads the kept records and resumes the
     suspended scan only when they run out, so no pair is visited twice for a
     key.  A finished scan keeps only its records.  ``_audit_table`` runs first
     on every call, so the budget and the monotonicity refusal still hold.
@@ -306,9 +308,7 @@ def _least_alpha(f, gamma, scope, tie, existential, cap=math.inf):
     if existential not in ("full", "difference"):
         raise ParameterError(f"unknown existential scope {existential!r}")
     x_sets, table, scale = _audit_table(f, scope, tie)
-    key = (gamma, scope)
-    if scope == "weak":
-        key += (tie if isinstance(tie, str) else tuple(tie),)
+    key = (gamma, scope) + ((tie,) if scope == "weak" else ())
     kept = f.scans.get(key)
     if kept is None:
         kept = f.scans[key] = [[], _scan(f.blocks, x_sets, table, scale, gamma)]
@@ -370,6 +370,7 @@ def _scan(blocks, x_sets, table, scale, gamma):
 
 
 def _augmentability_audit(f, gamma, alpha, scope, tie, existential):
+    tie = _tie_key(tie, f.n)
     _, x_set, y_set, best = _least_alpha(f, gamma, scope, tie, existential, cap=alpha)
     witness = None
     if y_set is not None:
@@ -425,6 +426,7 @@ def weak_submodularity_ratio(f: SetFunctionOracle, tie: TiePolicy = "low") -> Ra
     subset per orbit of X's stabiliser in mask order, against a running bar
     that only falls (see the module docstring).
     """
+    tie = _tie_key(tie, f.n)
     x_sets, table, _ = _audit_table(f, "weak", tie)
     num, den, x_best, y_best = 1, 1, 0, 0
     for x_set in x_sets:
@@ -453,7 +455,7 @@ def min_alpha_for(
     with f(X) = 0 that the best gain leaves short makes every alpha fail.
     """
     gamma, _ = _parameters(gamma)
-    return _least_alpha(f, gamma, scope, tie, existential)[0]
+    return _least_alpha(f, gamma, scope, _tie_key(tie, f.n), existential)[0]
 
 
 class BoundRecord(Record):
@@ -476,20 +478,15 @@ def certify_greedy_bound(
 
     For k up to the saturation cardinality the guarantee is
     (gamma/alpha) * (1 - (1 - alpha/k)**k) * optimum_k, afterwards the plain
-    (gamma/alpha) * optimum_k.  Violations simply show up as negative slack;
-    whether f actually belongs to the audited class is the caller's business,
-    but gamma must lie in (0,1] and alpha must be >= gamma.
+    (gamma/alpha) * optimum_k: a fold over ``core._greedy_against_optimum``.
+    Violations simply show up as negative slack; whether f actually belongs
+    to the audited class is the caller's business, but gamma must lie in
+    (0,1] and alpha must be >= gamma.
     """
     gamma, alpha = _parameters(gamma, alpha)
-    n = f.n
-    profile = optimum_profile(f)  # first, so an oversize f is refused before any evaluation
-    trace = greedy_adaptive(f, n, tie)
-    sat = saturation_point(trace)
     records = []
-    for k in range(1, n + 1):
-        opt = profile[k].best_value
-        greedy_value = trace.values[k]
-        if k <= sat:
+    for k, greedy_value, _, opt, before_saturation in _greedy_against_optimum(f, tie):
+        if before_saturation:
             factor = 1 - (1 - alpha / k) ** k
             bound = gamma / alpha * factor * opt
             regime = "pre-saturation"

@@ -46,6 +46,19 @@ is a free element or the lowest member of its block, and the least X is read
 off the least masks that e lowers f on (``_first_decrease``).
 The audits visit one pair per orbit too (see ``audit``).  No blocked sweep
 builds a list of all 2**n masks, and no audit reads past the least masks.
+
+Three rules that several modules rely on have one owner each, here:
+
+* ``_scaled_ints`` turns exact values into ints over one scale, the lcm of
+  their denominators: the oracle's value table, a system's weights, the
+  critical gains, a flow network's capacities, and the LP's rows and
+  objective;
+* ``_tie_key`` checks a tie policy against n and returns its hashable key,
+  "low", "high" or a tuple, which kept chains, kept weak scans and result
+  records hold in place of the caller's own object;
+* ``_greedy_against_optimum`` walks greedy against the optimum at each
+  cardinality, which ``approximation_ratio``, ``audit.certify_greedy_bound``
+  and ``verify`` read.
 """
 
 from __future__ import annotations
@@ -53,11 +66,11 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
+from operator import index
 from typing import Callable, Iterable, Sequence, Union
 
 TiePolicy = Union[str, Sequence[int]]
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 MAX_STEPS = 1 << 24
 _UNDECIDED = object()
@@ -80,6 +93,15 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("refusing float->Fraction coercion; pass int/str/Fraction")
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _scaled_ints(values):
+    """(ints, scale): exact rationals (Fractions or ints) as ints over one
+    scale, the lcm of their denominators, so that values[i] ==
+    Fraction(ints[i], scale); ([], 1) for no values.  ``values`` is read
+    twice, so it must be a collection, not an iterator."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 _setattr = object.__setattr__
@@ -413,10 +435,8 @@ class SetFunctionOracle:
         the values at the representatives; built once and kept."""
         if self._reps_scaled is None:
             reps = self.blocks.representatives()
-            values = [self.value(mask) for mask in reps]
-            scale = math.lcm(*(v.denominator for v in values))
-            table = self.blocks.table([v.numerator * (scale // v.denominator) for v in values])
-            self._reps_scaled = reps, table, scale
+            ints, scale = _scaled_ints([self.value(mask) for mask in reps])
+            self._reps_scaled = reps, self.blocks.table(ints), scale
         return self._reps_scaled
 
     def first_decrease(self) -> tuple[int, int] | None:
@@ -466,19 +486,21 @@ def _first_decrease(table, n: int, blocks) -> tuple[int, int] | None:
     return None
 
 
-def tie_preference(tie: TiePolicy, n: int) -> list[int]:
-    """Per-element rank under a tie policy; the smallest rank wins."""
-    if tie == "low":
-        return list(range(n))
-    if tie == "high":
-        return [n - 1 - i for i in range(n)]
-    order = list(tie)
-    if sorted(order) != list(range(n)):
-        raise ParameterError(f"explicit tie order must be a permutation of 0..{n - 1}")
-    rank = [0] * n
-    for pos, element in enumerate(order):
-        rank[element] = pos
-    return rank
+def _tie_key(tie: TiePolicy, n: int) -> str | tuple[int, ...]:
+    """The hashable key of a tie policy over n elements, checked: "low",
+    "high", or an explicit order as a tuple of ints, a permutation of
+    0..n-1.  Anything else is refused with ``ParameterError``, naming the
+    accepted forms.  The key is a new object, so a caller that mutates its
+    own list afterwards changes no kept chain, kept scan or record."""
+    if tie in ("low", "high"):
+        return tie
+    try:  # a string, a non-iterable or an entry that is no int is no order
+        order = tuple(map(index, tie))
+        if sorted(order) == list(range(n)):
+            return order
+    except TypeError:
+        pass
+    raise ParameterError(f'tie must be "low", "high" or a permutation of 0..{n - 1}, got {tie!r}')
 
 
 class GreedyTrace(Record):
@@ -533,16 +555,17 @@ def greedy_adaptive(f: SetFunctionOracle, k: int, tie: TiePolicy = "low") -> Gre
     pass ``require_budget`` before the first evaluation.
 
     The first k picks do not depend on k, so the oracle keeps one chain per
-    tie policy (``f.chains``): a call returns the first k steps of the kept
-    chain and runs only the picks past its end.  Every call checks k, the
-    budget and the tie order first.
+    tie policy (``f.chains``, keyed by ``_tie_key``): a call returns the
+    first k steps of the kept chain and runs only the picks past its end.
+    Every call checks the tie policy, k and the budget first.
     """
     n = f.n
+    key = _tie_key(tie, n)
     if not 0 <= k <= n:
         raise InvalidCardinality(f"k={k} outside 0..{n}")
     require_budget(k * n, f"greedy of k={k} picks over n={n}")
-    pref = tie_preference(tie, n)
-    key = tie if isinstance(tie, str) else tuple(tie)
+    order = range(n) if key == "low" else range(n - 1, -1, -1) if key == "high" else key
+    rank = sorted(range(n), key=order.__getitem__)  # the inverse: each element's place in order
     kept = f.chains.get(key)
     if kept is None:
         kept = f.chains[key] = ([0], [], [], [f.value(0)], [])
@@ -561,7 +584,7 @@ def greedy_adaptive(f: SetFunctionOracle, k: int, tie: TiePolicy = "low") -> Gre
                     tied = [x]
                 elif v == best_val:
                     tied.append(x)
-            pick = min(tied, key=lambda x: pref[x])
+            pick = min(tied, key=rank.__getitem__)
             gains.append(best_val - values[-1])
             chain.append(current | 1 << pick)
             picks.append(pick)
@@ -681,12 +704,31 @@ def optimum_value(
     return next(row for row in _optima(f, upper_bound) if row.k == k).best_value
 
 
+def _greedy_against_optimum(f: SetFunctionOracle, tie: TiePolicy):
+    """Greedy against the optimum at each cardinality: for k = 1..n, the
+    tuple (k, greedy value, greedy value frozen at saturation, OPT_k,
+    whether k is at or before saturation).
+
+    The frozen value is the adaptive chain's value at min(k, saturation
+    point), the value of the non-adaptive variant.  The tie policy is checked
+    first, then the optimum profile is read, so an oversize f is refused
+    before any evaluation, and only then the oracle's kept greedy chain.
+    """
+    _tie_key(tie, f.n)
+    profile = optimum_profile(f)
+    trace = greedy_adaptive(f, f.n, tie)
+    sat, values = saturation_point(trace), trace.values
+    return [(k, values[k], values[min(k, sat)], profile[k].best_value, k <= sat)
+            for k in range(1, f.n + 1)]
+
+
 def approximation_ratio(
     f: SetFunctionOracle,
     tie: TiePolicy = "low",
     variant: str = "adaptive",
 ) -> tuple[Fraction | float, int]:
-    """Worst ratio optimum/greedy over all cardinalities 1..n.
+    """Worst ratio optimum/greedy over all cardinalities 1..n, a fold over
+    ``_greedy_against_optimum``.
 
     Returns ``(ratio, witness_k)`` with the smallest maximizing k.  Uses the
     0/0 := 1 convention; a zero greedy value against a positive optimum is
@@ -695,20 +737,8 @@ def approximation_ratio(
     """
     if variant not in ("adaptive", "nonadaptive"):
         raise ParameterError(f"unknown greedy variant {variant!r}")
-    n = f.n
-    profile = optimum_profile(f)  # first, so an oversize f is refused before any evaluation
-    trace = greedy_adaptive(f, n, tie)
-    sat = saturation_point(trace)
-    best_ratio: Fraction | float | None = None
-    witness = 1
-    for k in range(1, n + 1):
-        opt = profile[k].best_value
-        greedy_value = trace.values[k if variant == "adaptive" else min(k, sat)]
-        if greedy_value == 0:
-            ratio: Fraction | float = ONE if opt == 0 else math.inf
-        else:
-            ratio = opt / greedy_value
-        if best_ratio is None or ratio > best_ratio:
-            best_ratio = ratio
-            witness = k
-    return best_ratio, witness
+    ratios = []
+    for k, greedy, frozen, opt, _ in _greedy_against_optimum(f, tie):
+        value = greedy if variant == "adaptive" else frozen
+        ratios.append((opt / value if value else ONE if opt == 0 else math.inf, k))  # 0/0 := 1
+    return max(ratios, key=lambda pair: pair[0])  # the first, so the smallest k, among equals

@@ -76,7 +76,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .core import Record
+from .core import Record, _scaled_ints
 
 ZERO = Fraction(0)
 
@@ -163,8 +163,8 @@ def maximize(objective, rows, rhs, start=None) -> LPSolution:
         tableau, dens = list(start.tableau), list(start.denominators)
 
     cost = {j: c for j, c in enumerate(objective) if c}
-    cden = math.lcm(*(c.denominator for c in cost.values()))
-    cost = {j: c.numerator * (cden // c.denominator) for j, c in cost.items()}  # c = cost / cden
+    ints, cden = _scaled_ints(cost.values())
+    cost = dict(zip(cost, ints))  # c = cost / cden
     costed = [(cost[var], row, d) for var, row, d in zip(basis, tableau, dens) if var in cost]
     zden = cden * math.lcm(*(d for _, _, d in costed))
     z = {j: -c * (zden // cden) for j, c in cost.items()}
@@ -223,20 +223,19 @@ def _program(rows, rhs, n) -> _Program:
         raise ValueError("this solver requires b >= 0")
     if any(not 0 <= j < n for row in rows for j in row):
         raise ValueError(f"a row names a column outside 0..{n - 1}")
-    scales = tuple(
-        math.lcm(b.denominator, *(a.denominator for a in row.values() if a))
-        for row, b in zip(rows, rhs)
-    )
-    scaled = tuple(
-        tuple((j, int(a * scale)) for j, a in row.items() if a)
-        for row, scale in zip(rows, scales)
-    )
-    scaled_rhs = tuple(int(b * scale) for b, scale in zip(rhs, scales))
+    scales, scaled, scaled_rhs = [], [], []
+    for row, b in zip(rows, rhs):  # row i and b_i over L_i
+        nonzero = [j for j, a in row.items() if a]
+        (b, *ints), scale = _scaled_ints([b, *(row[j] for j in nonzero)])
+        scales.append(scale)
+        scaled.append(tuple(zip(nonzero, ints)))
+        scaled_rhs.append(b)
     columns = [[] for _ in range(n)]
     for i, row in enumerate(scaled):
         for j, a in row:
             columns[j].append((i, a))
-    return _Program(rows, rhs, n, scales, scaled, scaled_rhs, tuple(map(tuple, columns)))
+    return _Program(rows, rhs, n, tuple(scales), tuple(scaled), tuple(scaled_rhs),
+                    tuple(map(tuple, columns)))
 
 
 def _lowest(row, d):

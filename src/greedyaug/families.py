@@ -43,12 +43,13 @@ from .core import (
     ParameterError,
     Record,
     SetFunctionOracle,
+    _scaled_ints,
     as_fraction,
     iter_submasks,
     parse_rational,
     require_int,
 )
-from .independence import IndependenceSystem, uniform_matroid, weighted_rank_oracle
+from .independence import IndependenceSystem, free_system, uniform_matroid, weighted_rank_oracle
 from . import flows
 
 
@@ -123,9 +124,8 @@ def _closed_eval(params: CriticalParams, gains: list[Fraction]):
     k, p, q = params.k, params.alpha.numerator, params.alpha.denominator
     u, v = params.gamma.numerator, params.gamma.denominator
     a_mask = (1 << k) - 1
-    s = math.lcm(*(g.denominator for g in gains))
+    gain_units, s = _scaled_ints(gains)
     dq = u * k * (k - 1) * q
-    gain_units = [g.numerator * (s // g.denominator) for g in gains]
     blocks = [c * ((v - u) * c + k * u - v) for c in range(k + 1)]
     a_sums: dict[int, int] = {}
     memo: dict[int, Fraction] = {}
@@ -323,20 +323,12 @@ def make_square_cardinality(n: int) -> SetFunctionOracle:
 
 
 def make_modular(weights) -> SetFunctionOracle:
-    """Plain weighted sum (the rank function of the free system)."""
-    ws = [as_fraction(w) for w in weights]
-
-    def evaluate(mask: int) -> Fraction:
-        total = Fraction(0)
-        i = 0
-        while mask:
-            if mask & 1:
-                total += ws[i]
-            mask >>= 1
-            i += 1
-        return total
-
-    return SetFunctionOracle(GroundSet(len(ws)), evaluate, name="modular")
+    """Plain weighted sum: the rank function of the free system, evaluated by
+    its ``IndependenceSystem.weight``, which sums the weights as ints over
+    one scale.  A negative weight is refused with ``MalformedSystem`` when
+    the oracle is built."""
+    system = free_system(weights)
+    return SetFunctionOracle(system.ground, system.weight, name="modular")
 
 
 class DescribedInstance(Record):

@@ -62,6 +62,7 @@ from .core import (
     ParameterError,
     Record,
     SetFunctionOracle,
+    _scaled_ints,
     as_fraction,
     format_rational,
     indices_of,
@@ -233,9 +234,7 @@ class FlowInstance(Record):
         big = 1 + len(self.sinks) * finite_total
         networks = []
         for caps in self.capacities:
-            caps = [big if c == INF else c for c in caps]
-            scale = math.lcm(*(c.denominator for c in caps))
-            caps = [c.numerator * (scale // c.denominator) for c in caps]
+            caps, scale = _scaled_ints([big if c == INF else c for c in caps])
             residual: dict[int, dict[int, int]] = {}
             for (u, v), cap in zip(self.arcs, caps):
                 if cap:

@@ -25,7 +25,6 @@ callers that evaluate one system share its memo and its greedy chains.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +37,8 @@ from .core import (
     Record,
     SetFunctionOracle,
     TiePolicy,
+    _scaled_ints,
+    _tie_key,
     as_fraction,
     greedy_adaptive,
     indices_of,
@@ -75,8 +76,7 @@ class IndependenceSystem:
         self.weights = tuple(as_fraction(w) for w in weights)
         if any(w < 0 for w in self.weights):
             raise MalformedSystem("weights must be nonnegative")
-        self._scale = math.lcm(*(w.denominator for w in self.weights))
-        self._units = tuple(w.numerator * (self._scale // w.denominator) for w in self.weights)
+        self._units, self._scale = _scaled_ints(self.weights)
         self._predicate = predicate
         self._cache: dict[int, bool] = {0: bool(predicate(0))}
         self._verdict: str | None = None  # validate's finding: "" if well formed
@@ -344,8 +344,11 @@ def check_exchange_equivalences(sys: IndependenceSystem, tie: TiePolicy = "low")
     """The ``ExchangeReport`` of the system's greedy chain under ``tie``.
 
     It reads the system's one rank oracle, so the chain and the values that
-    an earlier caller evaluated on that oracle are not computed again.
+    an earlier caller evaluated on that oracle are not computed again.  The
+    tie policy is checked first, and the report holds its key
+    (``core._tie_key``).
     """
+    tie = _tie_key(tie, sys.n)
     f = weighted_rank_oracle(sys)
     trace = greedy_adaptive(f, f.n, tie)
     sat = saturation_point(trace)

@@ -23,10 +23,10 @@ from typing import Callable, Iterable
 from .core import (
     Record,
     SetFunctionOracle,
+    _greedy_against_optimum,
     approximation_ratio,
     greedy_adaptive,
     indices_of,
-    optimum_profile,
     optimum_value,
 )
 from .audit import (
@@ -286,17 +286,13 @@ def independence_bound_case(system, gamma) -> str:
     tight = min_alpha_for(f, gamma)
     if tight == math.inf:
         return f"{system.name}: no finite alpha at gamma={gamma}"
-    trace = greedy_adaptive(f, f.n)
-    profile = optimum_profile(f)
+    walk = _greedy_against_optimum(f, "low")
     for alpha in (tight, tight + 1):
         if not check_gamma_alpha_augmentable(f, gamma, alpha, scope="weak").member:
             return f"{system.name}: audit fails at gamma={gamma}, alpha={alpha}"
-        for k in range(1, f.n + 1):
-            if alpha * trace.values[k] < gamma * profile[k].best_value:
-                return (
-                    f"{system.name}: k={k} greedy {trace.values[k]} below "
-                    f"{gamma}*{profile[k].best_value}/{alpha}"
-                )
+        for k, greedy, _, opt, _ in walk:
+            if alpha * greedy < gamma * opt:
+                return f"{system.name}: k={k} greedy {greedy} below {gamma}*{opt}/{alpha}"
     report = check_exchange_equivalences(system)
     if not report.ok:
         return f"{system.name}: exchange equivalence broken at step {report.violations[0].step}"

@@ -704,3 +704,52 @@ def test_pruning_cuts_at_their_exact_bounds(monkeypatch):
     assert kept_records(f, F(1), "strong", "low") == records
     assert unpruned_records(plain, F(1), "strong", "low") == records
     assert enumerated == [(0b000, 8), (0b001, 8), (0b010, 5), (0b011, 2), (0b100, 7), (0b101, 4)]
+
+
+def _tied():
+    """Three elements of equal weight: every greedy pick is a tie, so the
+    chain, and with it each weak-scope result, follows the tie order."""
+    return ga.make_modular([1, 1, 1])
+
+
+TIE_CALLS = {
+    "alpha": lambda scope, tie: ga.check_alpha_augmentable(_tied(), 1, scope=scope, tie=tie),
+    "gamma-alpha": lambda scope, tie: ga.check_gamma_alpha_augmentable(
+        _tied(), HALF, 1, scope=scope, tie=tie),
+    "min-alpha": lambda scope, tie: ga.min_alpha_for(_tied(), HALF, scope=scope, tie=tie),
+    "weak-ratio": lambda scope, tie: ga.weak_submodularity_ratio(_tied(), tie=tie),
+    "exchange": lambda scope, tie: ga.check_exchange_equivalences(ga.free_system([1, 1, 1]), tie),
+    "ratio": lambda scope, tie: ga.approximation_ratio(_tied(), tie=tie),
+    "certificate": lambda scope, tie: ga.certify_greedy_bound(_tied(), HALF, 1, tie=tie),
+    "greedy": lambda scope, tie: ga.greedy_adaptive(_tied(), 3, tie=tie),
+}
+SCOPED = ("alpha", "gamma-alpha", "min-alpha")
+TIE_CASES = [pytest.param(call, scope, id=f"{call}-{scope}")
+             for call in TIE_CALLS for scope in (("weak", "strong") if call in SCOPED else ("-",))]
+
+
+@pytest.mark.parametrize("call, scope", TIE_CASES)
+def test_list_tie_is_recorded_as_its_tuple(call, scope):
+    """A list tie and the equal tuple give equal, hashable results that hold
+    the tuple; mutating the caller's list afterwards changes none of them."""
+    order = [2, 0, 1]
+    listed = TIE_CALLS[call](scope, order)
+    order.reverse()
+    tupled = TIE_CALLS[call](scope, (2, 0, 1))
+    if isinstance(listed, list):  # the certificates
+        listed, tupled = tuple(listed), tuple(tupled)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert getattr(listed, "tie", (2, 0, 1)) == (2, 0, 1)
+    if call in ("alpha", "gamma-alpha"):
+        assert listed.to_json_dict()["tie"] == [2, 0, 1]
+
+
+@pytest.mark.parametrize("tie", ["bogus", [0, 0, 1], [0, 1], [0.0, 1, 2], 5])
+@pytest.mark.parametrize("call, scope", TIE_CASES)
+def test_bad_tie_refused_in_every_scope(call, scope, tie):
+    """Also in strong scope, which never reads the tie: the message names
+    the accepted forms."""
+    expected = f'tie must be "low", "high" or a permutation of 0..2, got {tie!r}'
+    with pytest.raises(ga.ParameterError) as excinfo:
+        TIE_CALLS[call](scope, tie)
+    assert str(excinfo.value) == expected

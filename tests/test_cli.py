@@ -1,4 +1,6 @@
+import builtins
 import json
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -94,6 +96,20 @@ class TestAudit:
         assert bundle["gamma_alpha"]["1"]["verdict"] == "member"
         assert bundle["min_alpha"] == "1"
 
+    def test_sections_over_the_budget_report_the_refusal(self, capsys):
+        """critical k = 8 is n = 16, past the strong budget: each strong section
+        holds the refusal, the weak ratio is computed, and the command exits 0."""
+        code = run(["audit", "--family", "critical", "--params",
+                    '{"gamma": "1/2", "alpha": "1", "k": 8}', "--scope", "strong"])
+        assert code == 0
+        bundle = json.loads(capsys.readouterr().out)
+        refusal = {"error": "strong-scope audit over n=16: 44095297 steps exceed the budget "
+                            "of 16777216"}
+        for section in ("alpha_augmentable", "gamma_alpha", "min_alpha"):
+            assert bundle[section] == refusal
+        assert bundle["weak_ratio"] == {"X": list(range(8)), "Y": list(range(8, 16)),
+                                        "value": "5764801/180336136"}
+
     def test_rank_section_present_for_system_families(self, tmp_path):
         out = tmp_path / "audit.json"
         run(
@@ -184,12 +200,27 @@ def _constant(value):
     return lambda original: lambda *args, **kwargs: value
 
 
+def _flows_with(**changes):
+    """verify's ``flows`` module with ``changes`` to its names."""
+    return lambda flows: SimpleNamespace(**{**vars(flows), **changes})
+
+
+def _last_value_raised(greedy):
+    def corrupted(f, k):
+        trace = greedy(f, k)
+        return replace(trace, values=trace.values[:-1] + (trace.values[-1] + 1,))
+
+    return corrupted
+
+
 REJECTED = SimpleNamespace(member=False)
+ACCEPTED = SimpleNamespace(member=True)
 UNIFORM = ga.uniform_matroid(4, 2, [3, 1, 2, 2])
 
-# One fault per per-case function of greedyaug.verify: (case, its arguments, the
-# name replaced in verify's namespace, the replacement built from the original,
-# a fragment of the detail the case must then return).
+# Faults pushed through the per-case functions of greedyaug.verify, one for each
+# failure detail they return: (case, its arguments, the name replaced in verify's
+# namespace, the replacement built from the original, a fragment of the detail the
+# case must then return).  A builtin such as ``max`` is shadowed by a module global.
 FAULTS = [
     pytest.param(verify.critical_ratio_case, (1, 1, 3), "critical_ratio_closed_form",
                  lambda orig: lambda g, a, k: orig(g, a, k) + 1, "closed form", id="ratio"),
@@ -225,6 +256,75 @@ FAULTS = [
     pytest.param(verify.independence_bound_case, (UNIFORM, 1), "check_exchange_equivalences",
                  _constant(SimpleNamespace(ok=False, violations=[SimpleNamespace(step=2)])),
                  "exchange equivalence broken at step 2", id="independence-bound"),
+    pytest.param(verify.critical_pick_order_case, (), "CriticalParams",
+                 lambda orig: lambda g, a, k: SimpleNamespace(
+                     step_gains=lambda: [2 * x for x in orig(g, a, k).step_gains()]),
+                 "step 1: gain 1/3 differs from geometric 2/3", id="pick-order-gain"),
+    pytest.param(verify.critical_strong_case, (F(1, 2), 1, 3, 1), "check_alpha_augmentable",
+                 _constant(ACCEPTED), "critical(gamma=1/2,alpha=1,k=3) accepted at alpha=1",
+                 id="strong-non-member"),
+    pytest.param(verify.ratio_separator_case, (F(1, 2),), "check_alpha_augmentable",
+                 _constant(ACCEPTED), "gamma=1/2: accepted at alpha=1 despite the pair jump",
+                 id="ratio-separator-alpha"),
+    pytest.param(verify.ratio_separator_case, (F(1, 2),), "check_gamma_alpha_augmentable",
+                 _constant(REJECTED), "not weakly 1/2-1/2-augmentable",
+                 id="ratio-separator-weak"),
+    pytest.param(verify.rank_separator_case, (), "weak_submodularity_ratio",
+                 _constant(SimpleNamespace(value=F(1, 2))),
+                 "weak ratio 1/2 != 0 under the saturating policy", id="rank-separator-ratio"),
+    pytest.param(verify.rank_separator_case, (), "weak_submodularity_ratio",
+                 _constant(SimpleNamespace(value=F(0), x_set=0, y_set=0b1)),
+                 "weak ratio witness X=[], Y=['a1'], not X=['c'], Y=['b1', 'b2']",
+                 id="rank-separator-witness"),
+    pytest.param(verify.rank_separator_case, (), "min_alpha_for", _constant(F(3)),
+                 "tightest alpha 3 != 1/q = 2", id="rank-separator-alpha"),
+    pytest.param(verify.square_case, (), "check_gamma_alpha_augmentable",
+                 _constant(SimpleNamespace(member=False, witness=SimpleNamespace(x_set=0b1))),
+                 "expected the empty set as the violating X", id="square-witness"),
+    pytest.param(verify.square_case, (), "approximation_ratio", _constant((F(2), 1)),
+                 "greedy is supposed to be optimal, measured ratio 2", id="square-ratio"),
+    pytest.param(verify.two_sink_case, (), "flows",
+                 _flows_with(objective_oracle=lambda inst: ga.make_modular([2, 2])),
+                 "values [Fraction(0, 1), Fraction(2, 1), Fraction(2, 1), Fraction(4, 1)] "
+                 "!= [0, 2, 2, 3]", id="two-sink-values"),
+    pytest.param(verify.two_sink_case, (), "max", lambda orig: lambda a, b: a + b - 1,
+                 "values would admit a weighted rank representation", id="two-sink-rank"),
+    pytest.param(verify.zero_ratio_case, (), "greedy_adaptive",
+                 lambda orig: lambda f, k: orig(f, k, "high"), "first pick t3 != t2",
+                 id="zero-ratio-pick"),
+    pytest.param(verify.zero_ratio_case, (), "check_alpha_augmentable", _constant(REJECTED),
+                 "rejected at the instance's commodity count", id="zero-ratio-rejected"),
+    pytest.param(verify.zero_ratio_case, (), "check_alpha_augmentable", _constant(ACCEPTED),
+                 "accepted at one commodity; separation lost", id="zero-ratio-accepted"),
+    pytest.param(verify.staircase_case, (1, 2), "greedy_adaptive",
+                 lambda orig: lambda f, k: orig(f, k, "high"), "pick order ['t4', 't3']",
+                 id="staircase-picks"),
+    pytest.param(verify.staircase_case, (1, 2), "greedy_adaptive", _last_value_raised,
+                 "greedy value 7", id="staircase-greedy"),
+    pytest.param(verify.staircase_case, (1, 2), "optimum_value",
+                 lambda orig: lambda f, k, upper_bound: orig(f, k, upper_bound) + 1,
+                 "optimum 9", id="staircase-optimum"),
+    pytest.param(verify.staircase_case, (1, 2), "flows",
+                 _flows_with(lower_bound_ratio_closed_form=lambda alpha, k: F(2)),
+                 "ratio 4/3 != closed form 2", id="staircase-closed-form"),
+    pytest.param(verify.staircase_case, (1, 2), "sum", lambda orig: lambda terms: orig(terms) + 1,
+                 "geometric capacity identity fails at n=1", id="staircase-identity"),
+    pytest.param(verify.containment_case, ("ratio-sep", ga.make_ratio_separator(F(1, 2)), None),
+                 "check_gamma_alpha_augmentable", _constant(REJECTED),
+                 "ratio-sep: weak ratio 1/2 but weak 1/2-1/2 fails", id="containment-ratio"),
+    pytest.param(verify.containment_case, ("uniform", ga.weighted_rank_oracle(UNIFORM), UNIFORM),
+                 "check_gamma_alpha_augmentable",
+                 lambda orig: lambda f, g, a, scope: REJECTED if g == F(1, 2) else orig(
+                     f, g, a, scope=scope),
+                 "uniform: quotient 1 but weak 1/2-1/2 fails", id="containment-quotient-audit"),
+    pytest.param(verify.independence_bound_case, (UNIFORM, 1), "min_alpha_for",
+                 _constant(math.inf), "no finite alpha at gamma=1", id="independence-no-alpha"),
+    pytest.param(verify.independence_bound_case, (UNIFORM, 1), "check_gamma_alpha_augmentable",
+                 _constant(REJECTED), "audit fails at gamma=1, alpha=1",
+                 id="independence-audit"),
+    pytest.param(verify.independence_bound_case, (UNIFORM, 1), "_greedy_against_optimum",
+                 lambda orig: lambda f, tie: [(k, F(0), *rest) for k, _, *rest in orig(f, tie)],
+                 "k=1 greedy 0 below 1*3/1", id="independence-greedy"),
 ]
 
 
@@ -261,7 +361,8 @@ class TestVerify:
     @pytest.mark.parametrize("case, args, name, corrupt, fragment", FAULTS)
     def test_fault_surfaces_as_detail(self, monkeypatch, case, args, name, corrupt, fragment):
         assert case(*args) == ""
-        monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+        original = getattr(verify, name) if hasattr(verify, name) else getattr(builtins, name)
+        monkeypatch.setattr(verify, name, corrupt(original), raising=False)
         assert fragment in case(*args)
 
     def test_failing_case_fails_verify_paper(self, monkeypatch, capsys, tmp_path):
@@ -439,6 +540,10 @@ CRITICAL_1_1_2 = '{"gamma": "1", "alpha": "1", "k": 2}'
                      id="capacity-row-string"),
         pytest.param(["trace"], UNBOUNDED_JSON, "greedyaug trace: flow: unbounded objective",
                      id="trace-unbounded"),
+        pytest.param(["audit", "--family", "modular", "--params", "[1, 2]"], None,
+                     "--params must be a JSON object", id="params-list"),
+        pytest.param(["audit", "--family", "modular", "--params", '{"weights": [3, -1]}'], None,
+                     "greedyaug audit: weights must be nonnegative", id="negative-weight"),
         pytest.param(["audit"], UNBOUNDED_JSON, "greedyaug audit: flow: unbounded objective",
                      id="audit-unbounded"),
     ],

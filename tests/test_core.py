@@ -2,7 +2,7 @@ from fractions import Fraction
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import greedyaug as ga
@@ -428,6 +428,74 @@ def test_optimum_sandwich(data):
     top = f.value(f.ground.full_mask())
     for k in range(1, n + 1):
         assert trace.values[k] <= profile[k].best_value <= top
+
+
+def direct_ratio(profile, trace, variant):
+    """(worst optimum/greedy ratio, smallest k reaching it) by a direct loop."""
+    sat = next((i for i, gain in enumerate(trace.gains) if gain <= 0), len(trace.gains))
+    best = None
+    for k in range(1, len(trace.gains) + 1):
+        greedy = trace.values[k if variant == "adaptive" else min(k, sat)]
+        opt = profile[k].best_value
+        ratio = opt / greedy if greedy else F(1) if opt == 0 else math.inf
+        if best is None or ratio > best[0]:
+            best = (ratio, k)
+    return best
+
+
+def direct_certificates(profile, trace, gamma, alpha):
+    """``certify_greedy_bound``'s records by a direct loop."""
+    sat = next((i for i, gain in enumerate(trace.gains) if gain <= 0), len(trace.gains))
+    records = []
+    for k in range(1, len(trace.gains) + 1):
+        opt, greedy = profile[k].best_value, trace.values[k]
+        if k <= sat:
+            bound, regime = gamma / alpha * (1 - (1 - alpha / k) ** k) * opt, "pre-saturation"
+        else:
+            bound, regime = gamma / alpha * opt, "post-saturation"
+        records.append(ga.BoundRecord(k, regime, greedy, opt, bound, greedy - bound))
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_oracles, st.sampled_from(["low", "high"]))
+def test_ratio_and_certificates_fold_the_direct_walk(data, tie):
+    """``approximation_ratio`` (both variants) and ``certify_greedy_bound`` equal
+    direct loops over ``optimum_profile`` and ``greedy_adaptive`` of a fresh oracle."""
+    n, increments = data
+    f, fresh = build_monotone_oracle(n, increments), build_monotone_oracle(n, increments)
+    profile, trace = ga.optimum_profile(fresh), ga.greedy_adaptive(fresh, n, tie)
+    for variant in ("adaptive", "nonadaptive"):
+        assert ga.approximation_ratio(f, tie, variant) == direct_ratio(profile, trace, variant)
+    for gamma, alpha in ((F(1, 2), F(1)), (F(1), F(2))):
+        assert ga.certify_greedy_bound(f, gamma, alpha, tie) == direct_certificates(
+            profile, trace, gamma, alpha)
+
+
+def prime_factors(m):
+    factors, p = set(), 2
+    while m > 1:
+        while m % p == 0:
+            factors.add(p)
+            m //= p
+        p += 1
+    return factors
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=12)), max_size=8))
+@example([])
+def test_scaled_ints_round_trip(values):
+    """Ints and Fractions to ints over one scale and back; the scale is the
+    least common denominator: over any proper divisor some value stays
+    fractional.  No values give ([], 1)."""
+    ints, scale = ga.core._scaled_ints(values)
+    assert all(type(i) is int for i in ints) and type(scale) is int and scale >= 1
+    assert [F(i, scale) for i in ints] == values
+    for p in prime_factors(scale):
+        assert any((F(v) * (scale // p)).denominator != 1 for v in values)
+    if not values:
+        assert (ints, scale) == ([], 1)
 
 
 @pytest.mark.parametrize("blocks", [(), [(0, 2)]], ids=["unblocked", "blocked"])

@@ -348,6 +348,13 @@ def test_optimum_certificate_catches_each_clause(x, y, value, lp):
         certify(x, y, value, **lp)
 
 
+@pytest.mark.parametrize("rhs", [[F(1)], [F(1), F(1), F(1)]], ids=["short", "long"])
+def test_rhs_of_another_length_refused(rhs):
+    with pytest.raises(ValueError) as excinfo:
+        exactlp.maximize([F(1), F(1)], [{0: F(1)}, {1: F(1)}], rhs)
+    assert str(excinfo.value) == "rhs length must match row count"
+
+
 @pytest.mark.parametrize("column", [2, -1], ids=["column-n", "column-minus-1"])
 def test_row_naming_a_column_outside_the_objective_is_refused(column):
     with pytest.raises(ValueError, match=r"column outside 0\.\.1"):

@@ -189,6 +189,22 @@ class TestSeparators:
         assert f.value(0b111) == 9
 
 
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: ga.make_critical_function(1, 1, 3, method="fast"), ga.ParameterError,
+                 "unknown evaluation method 'fast'", id="critical-method"),
+    pytest.param(lambda: ga.make_rank_separator(1, 1, 1, 2), ga.ParameterError,
+                 "q must lie in (0,1), got 1", id="rank-separator-q"),
+    pytest.param(lambda: ga.make_rank_separator(HALF, 1, 0, 2), ga.ParameterError,
+                 "m and n must be positive integers", id="rank-separator-m"),
+    pytest.param(lambda: ga.make_modular([3, -1]), ga.MalformedSystem,
+                 "weights must be nonnegative", id="modular-negative-weight"),
+])
+def test_malformed_family_parameters_refused(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 class TestDescriptors:
     def test_critical_descriptor(self):
         bundle = ga.oracle_from_descriptor(

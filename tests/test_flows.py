@@ -249,6 +249,43 @@ class TestInstanceValidation:
             ga.FlowInstance(3, ((0, 1), (0, 2)), 0, (1,), ((F(1),),))
 
 
+def _three_vertices(**changes):
+    """A valid instance's fields, with ``changes``."""
+    return ga.FlowInstance(**{"num_vertices": 3, "arcs": ((0, 1), (0, 2)), "source": 0,
+                              "sinks": (1, 2), "capacities": ((F(1), F(2)),), **changes})
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: _three_vertices(source=3), "source outside vertex range",
+                 id="source-outside"),
+    pytest.param(lambda: _three_vertices(sinks=()), "sinks must be distinct and nonempty",
+                 id="no-sinks"),
+    pytest.param(lambda: _three_vertices(sinks=(1, 1)), "sinks must be distinct and nonempty",
+                 id="repeated-sink"),
+    pytest.param(lambda: _three_vertices(sinks=(1, 3)), "sink outside vertex range",
+                 id="sink-outside"),
+    pytest.param(lambda: _three_vertices(capacities=()), "need at least one commodity",
+                 id="no-commodity"),
+    pytest.param(lambda: _three_vertices(labels=("s", "t")),
+                 "labels length must equal vertex count", id="labels-length"),
+    pytest.param(lambda: ga.FlowInstance.from_json_dict(
+        {**ga.make_two_sink_instance(2).to_json_dict(), "commodities": 3}),
+        "commodity count disagrees with capacity rows", id="commodity-count"),
+    pytest.param(lambda: ga.capacity_scale(1), "capacity scale needs k >= 2, got 1",
+                 id="capacity-scale"),
+    pytest.param(lambda: ga.lower_bound_ratio_closed_form(0, 3),
+                 "alpha must be a positive integer, got 0", id="closed-form-alpha"),
+    pytest.param(lambda: ga.make_lower_bound_instance(1, 2, epsilon=F(-1, 8)),
+                 "epsilon must be nonnegative", id="negative-epsilon"),
+    pytest.param(lambda: ga.make_two_sink_instance(0), "alpha must be a positive integer, got 0",
+                 id="two-sink-alpha"),
+])
+def test_malformed_flow_input_refused(build, message):
+    with pytest.raises(ga.ParameterError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 class TestSerialization:
     def test_round_trip_identity(self, staircase_a2k2, zero_ratio2, two_sink2):
         for inst, _ in (staircase_a2k2, zero_ratio2, two_sink2):

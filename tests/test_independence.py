@@ -130,6 +130,13 @@ def blocked_uniform_matroids(draw):
     return ga.uniform_matroid(n, draw(st.integers(0, n)), weights)
 
 
+@pytest.mark.parametrize("weights", [[1], [1, 2, 3]], ids=["short", "long"])
+def test_weights_of_another_length_refused(weights):
+    with pytest.raises(ga.MalformedSystem) as excinfo:
+        ga.IndependenceSystem(ga.GroundSet(2), lambda mask: True, weights)
+    assert str(excinfo.value) == "weights length must equal ground set size"
+
+
 class TestRankOracle:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(downward_closed_systems(), blocked_uniform_matroids()))
